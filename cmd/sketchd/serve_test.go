@@ -135,6 +135,45 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeIngestRejectsNonFinite: a CSV batch holding nan or inf answers
+// 400 without touching the stream (before the fix DA1 kept the NaN in its
+// estimate for good and DA2 panicked on +Inf); queries keep answering the
+// pre-batch state and later ingest works.
+func TestServeIngestRejectsNonFinite(t *testing.T) {
+	for _, proto := range []string{"DA1", "DA2"} {
+		t.Run(proto, func(t *testing.T) {
+			reg := distwindow.NewRegistry()
+			defer reg.Close()
+			h := newServeHandler(reg, false)
+			if w := doReq(t, h, "POST", "/open?stream=s&proto="+proto+"&d=3&w=1000", ""); w.Code != 200 {
+				t.Fatalf("open: %d %s", w.Code, w.Body.String())
+			}
+			if w := doReq(t, h, "POST", "/ingest?stream=s", csvRows(1, 100)); w.Code != 200 {
+				t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+			}
+			before := doReq(t, h, "GET", "/query?stream=s&top=3", "").Body.String()
+			for _, bad := range []string{"101,0,nan,1,0.5\n", "101,0,1,inf,0.5\n", "101,0,1,1,-Inf\n"} {
+				if w := doReq(t, h, "POST", "/ingest?stream=s", bad+csvRows(102, 5)); w.Code != http.StatusBadRequest {
+					t.Fatalf("ingest %q: %d %s, want 400", bad, w.Code, w.Body.String())
+				}
+			}
+			w := doReq(t, h, "GET", "/query?stream=s&top=3", "")
+			if w.Code != 200 || w.Body.String() != before {
+				t.Fatalf("query after refused batches: %d %s, want 200 %s", w.Code, w.Body.String(), before)
+			}
+			if w := doReq(t, h, "POST", "/ingest?stream=s", csvRows(101, 50)); w.Code != 200 {
+				t.Fatalf("ingest after refused batches: %d %s", w.Code, w.Body.String())
+			}
+			m := decodeJSON(t, doReq(t, h, "GET", "/query?stream=s&top=3", ""))
+			for _, v := range m["topSigma2"].([]any) {
+				if f, ok := v.(float64); !ok || f < 0 {
+					t.Fatalf("topSigma2 = %v after refused batches", m["topSigma2"])
+				}
+			}
+		})
+	}
+}
+
 // TestServeGateLeak verifies the per-stream gate map does not accumulate
 // entries for unknown ids or evicted streams — the leak the old
 // lock-per-stream map had.

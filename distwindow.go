@@ -407,8 +407,9 @@ const latSampleMask = 15
 // the primary ingestion entry point: delivery problems come back as errors
 // instead of panics:
 //
-//   - ErrSiteRange and ErrDimension flag caller bugs; the row was not
-//     consumed and the tracker is unchanged.
+//   - ErrSiteRange and ErrDimension flag caller bugs, and ErrNonFinite a
+//     row holding NaN or ±Inf; the row was not consumed and the tracker
+//     is unchanged.
 //   - ErrStale flags a row whose timestamp is older than the maximum
 //     already observed (or beyond the skew horizon when Config.MaxSkew is
 //     set). The row is dropped and counted — in Metrics().StaleDrops, or
@@ -445,8 +446,8 @@ func (t *Tracker) tryObserve1(site int, r Row) error {
 	if site < 0 || site >= t.cfg.Sites {
 		return fmt.Errorf("%w: site %d not in [0,%d)", ErrSiteRange, site, t.cfg.Sites)
 	}
-	if len(r.V) != t.cfg.D {
-		return fmt.Errorf("%w: got %d values, want %d", ErrDimension, len(r.V), t.cfg.D)
+	if err := t.checkRow(r); err != nil {
+		return err
 	}
 	if t.pipe != nil {
 		t.pipe.EnqueueRow(site, r.T, r.V)
@@ -477,6 +478,18 @@ func (t *Tracker) tryObserve1(site int, r Row) error {
 	}
 	for _, rr := range released {
 		t.deliverSkew(site, rr)
+	}
+	return nil
+}
+
+// checkRow is the per-row structural check shared by every ingest path:
+// the row must have Config.D values, all of them finite.
+func (t *Tracker) checkRow(r Row) error {
+	if len(r.V) != t.cfg.D {
+		return fmt.Errorf("%w: got %d values, want %d", ErrDimension, len(r.V), t.cfg.D)
+	}
+	if !mat.AllFinite(r.V...) {
+		return fmt.Errorf("%w: row at t=%d", ErrNonFinite, r.T)
 	}
 	return nil
 }
@@ -530,8 +543,9 @@ func (t *Tracker) deliverSkew(site int, r stream.Row) {
 }
 
 // Observe delivers a row to the given site. It is TryObserve with the
-// historical contract: caller bugs (ErrSiteRange, ErrDimension) panic,
-// stale rows are silently dropped and counted.
+// historical contract: caller bugs (ErrSiteRange, ErrDimension) and
+// non-finite rows (ErrNonFinite) panic, stale rows are silently dropped
+// and counted.
 //
 // Deprecated: call TryObserve, which reports delivery problems as errors
 // the caller can distinguish (errors.Is against ErrSiteRange, ErrDimension,
@@ -545,8 +559,9 @@ func (t *Tracker) Observe(site int, r Row) {
 // ObserveBatch delivers rows[0:] in order to the given site and returns
 // how many the protocol accepted. Stale rows are dropped and counted (as
 // in Observe) without stopping the batch; the first structural error
-// (ErrSiteRange, ErrDimension) aborts and is returned, with accepted
-// telling how far the batch got. Distinguish outcomes on single rows with
+// (ErrSiteRange, ErrDimension, ErrNonFinite) aborts and is returned, with
+// accepted telling how far the batch got: the offending row and those
+// after it are not delivered. Distinguish outcomes on single rows with
 // errors.Is(err, ErrStale) against TryObserve — see the package example.
 //
 // Because no layer retains row values (see TryObserve), callers may reuse
@@ -588,8 +603,7 @@ func (t *Tracker) observeBatchParallel(site int, rows []Row) (accepted int, err 
 	}
 	staged := t.batch[site][:0]
 	for _, r := range rows {
-		if len(r.V) != t.cfg.D {
-			err = fmt.Errorf("%w: got %d values, want %d", ErrDimension, len(r.V), t.cfg.D)
+		if err = t.checkRow(r); err != nil {
 			break
 		}
 		staged = append(staged, stream.Row{T: r.T, V: r.V})
@@ -833,13 +847,17 @@ func NewAggregate(cfg Config, opts ...Option) (*AggregateTracker, error) {
 }
 
 // TryObserve records weight w at the given site and time, reporting
-// delivery problems as errors: ErrSiteRange for a bad site index, ErrStale
-// when now precedes an earlier observation at the same site (the weight is
-// dropped; the tracker is unchanged). Each site's clock is independent —
+// delivery problems as errors: ErrSiteRange for a bad site index,
+// ErrNonFinite for a NaN or ±Inf weight, ErrStale when now precedes an
+// earlier observation at the same site (the weight is dropped; the
+// tracker is unchanged). Each site's clock is independent —
 // sites may run at different times.
 func (t *AggregateTracker) TryObserve(site int, now int64, w float64) error {
 	if site < 0 || site >= t.sites {
 		return fmt.Errorf("%w: site %d not in [0,%d)", ErrSiteRange, site, t.sites)
+	}
+	if !mat.AllFinite(w) {
+		return fmt.Errorf("%w: weight %v at t=%d", ErrNonFinite, w, now)
 	}
 	if now < t.lastT[site] {
 		return fmt.Errorf("%w: t=%d after t=%d was observed at site %d", ErrStale, now, t.lastT[site], site)
@@ -850,8 +868,8 @@ func (t *AggregateTracker) TryObserve(site int, now int64, w float64) error {
 }
 
 // Observe records weight w at the given site and time. It is TryObserve
-// with the historical contract: a bad site index panics, stale
-// observations are silently dropped.
+// with the historical contract: a bad site index or a non-finite weight
+// panics, stale observations are silently dropped.
 func (t *AggregateTracker) Observe(site int, now int64, w float64) {
 	if err := t.TryObserve(site, now, w); err != nil && !errors.Is(err, ErrStale) {
 		panic(err)

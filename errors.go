@@ -9,6 +9,10 @@ var (
 	ErrSiteRange = errors.New("distwindow: site index out of range")
 	// ErrDimension reports a row whose length differs from Config.D.
 	ErrDimension = errors.New("distwindow: row dimension mismatch")
+	// ErrNonFinite reports a row (or aggregate weight) holding NaN or ±Inf.
+	// One such value would poison the sketch for good, so the row is
+	// refused before any state changes.
+	ErrNonFinite = errors.New("distwindow: non-finite value")
 	// ErrStale reports a row that cannot be delivered because its timestamp
 	// is in the past: older than the maximum timestamp already observed
 	// (without MaxSkew), or beyond the skew horizon (with MaxSkew). Stale

@@ -37,9 +37,16 @@ func (t *SumTracker) SetSink(s obs.Sink) {
 
 // SetTracer forwards a causal tracer to every site's gEH.
 func (t *SumTracker) SetTracer(tr *trace.Tracer) {
-	for i, st := range t.sites {
-		st.hist.SetTracer(tr, i)
+	for i := range t.sites {
+		t.SetSiteTracer(i, tr, i)
 	}
+}
+
+// SetSiteTracer forwards a causal tracer to one site's gEH, stamping its
+// bucket instants with label instead of the site index — a networked
+// site driving a one-site tracker passes its fleet-wide id.
+func (t *SumTracker) SetSiteTracer(site int, tr *trace.Tracer, label int) {
+	t.sites[site].hist.SetTracer(tr, label)
 }
 
 // LiveBuckets returns the total gEH bucket count across sites.
@@ -64,10 +71,16 @@ func (t *DA1) SetSink(s obs.Sink) {
 // SetTracer forwards a causal tracer to every site's mEH (exact-storage
 // ablation sites have none).
 func (t *DA1) SetTracer(tr *trace.Tracer) {
-	for i, st := range t.sites {
-		if st.hist != nil {
-			st.hist.SetTracer(tr, i)
-		}
+	for i := range t.sites {
+		t.SetSiteTracer(i, tr, i)
+	}
+}
+
+// SetSiteTracer forwards a causal tracer to one site's mEH, stamping its
+// bucket instants with label (see SumTracker.SetSiteTracer).
+func (t *DA1) SetSiteTracer(site int, tr *trace.Tracer, label int) {
+	if h := t.sites[site].hist; h != nil {
+		h.SetTracer(tr, label)
 	}
 }
 
@@ -94,9 +107,15 @@ func (t *DA2) SetSink(s obs.Sink) {
 
 // SetTracer forwards a causal tracer to every site's mass gEH.
 func (t *DA2) SetTracer(tr *trace.Tracer) {
-	for i, st := range t.sites {
-		st.mass.SetTracer(tr, i)
+	for i := range t.sites {
+		t.SetSiteTracer(i, tr, i)
 	}
+}
+
+// SetSiteTracer forwards a causal tracer to one site's mass gEH, stamping
+// its bucket instants with label (see SumTracker.SetSiteTracer).
+func (t *DA2) SetSiteTracer(site int, tr *trace.Tracer, label int) {
+	t.sites[site].mass.SetTracer(tr, label)
 }
 
 // LiveBuckets returns the total mass-gEH bucket count across sites.

@@ -21,6 +21,9 @@ type SumTracker struct {
 	sites []*sumSite
 	// est is the coordinator's estimate Σⱼ Ĉ⁽ʲ⁾.
 	est float64
+	// applyInline folds an emitted delta straight into est — the
+	// in-process path's emit, allocated once.
+	applyInline protocol.Emit
 }
 
 type sumSite struct {
@@ -43,6 +46,7 @@ func NewSumTracker(cfg Config, net *protocol.Network) (*SumTracker, error) {
 		return nil, err
 	}
 	t := &SumTracker{cfg: cfg, net: net}
+	t.applyInline = func(delta float64, _ []float64) { t.est += delta }
 	t.sites = make([]*sumSite, cfg.Sites)
 	for i := range t.sites {
 		// The gEH runs at ε/2 so histogram error plus reporting slack stay
@@ -52,8 +56,17 @@ func NewSumTracker(cfg Config, net *protocol.Network) (*SumTracker, error) {
 	return t, nil
 }
 
-// ObserveWeight feeds a weight observed at the given site and time.
+// ObserveWeight feeds a weight observed at the given site and time,
+// folding any resulting delta into the estimate inline.
 func (t *SumTracker) ObserveWeight(site int, now int64, w float64) {
+	t.ObserveSite(site, now, w, t.applyInline)
+}
+
+// ObserveSite is the site-local half of ObserveWeight: gEH upkeep and the
+// reporting rule for one site, with the delta the site ships emitted as
+// emit(delta, nil) instead of applied. Calls for one site must be
+// serialized with non-decreasing timestamps.
+func (t *SumTracker) ObserveSite(site int, now int64, w float64, emit protocol.Emit) {
 	s := t.sites[site]
 	s.now = now
 	if w > 0 {
@@ -61,29 +74,30 @@ func (t *SumTracker) ObserveWeight(site int, now int64, w float64) {
 	} else {
 		s.hist.Advance(now)
 	}
-	t.check(site)
+	t.check(site, emit)
 }
 
-// AdvanceSite moves one site's clock forward (expirations only).
-func (t *SumTracker) AdvanceSite(site int, now int64) {
+// AdvanceSite moves one site's clock forward (expirations only), emitting
+// the delta it ships, if any.
+func (t *SumTracker) AdvanceSite(site int, now int64, emit protocol.Emit) {
 	s := t.sites[site]
 	if now <= s.now {
 		return
 	}
 	s.now = now
 	s.hist.Advance(now)
-	t.check(site)
+	t.check(site, emit)
 }
 
-// AdvanceAll moves every site's clock forward.
+// AdvanceAll moves every site's clock forward, folding deltas inline.
 func (t *SumTracker) AdvanceAll(now int64) {
 	for i := range t.sites {
-		t.AdvanceSite(i, now)
+		t.AdvanceSite(i, now, t.applyInline)
 	}
 }
 
 // check applies the reporting rule |C − Ĉ| > εC.
-func (t *SumTracker) check(site int) {
+func (t *SumTracker) check(site int, emit protocol.Emit) {
 	s := t.sites[site]
 	if v := s.hist.Version(); v == s.checked {
 		return
@@ -94,8 +108,8 @@ func (t *SumTracker) check(site int) {
 	d := c - s.chat
 	if abs(d) > t.cfg.Eps*c {
 		t.net.UpFrom(site, protocol.ScalarWords)
-		t.est += d
 		s.chat = c
+		emit(d, nil)
 	}
 	t.net.SampleSiteSpace(int64(s.hist.Buckets()) * 3)
 }

@@ -48,7 +48,7 @@ func TestAcceptedButUndeliveredFrameIsRecovered(t *testing.T) {
 	// One write in ten is accepted but never delivered (and the
 	// connection dies, as a crashed peer's would).
 	inj := chaos.New(chaos.Config{Seed: 7, PDrop: 0.1})
-	s := NewResilientSenderFunc(inj.Dial(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 
@@ -98,7 +98,7 @@ func (d *discardConn) Close() error                { return nil }
 // at-most-once is the best that mode can do.
 func TestLegacyModeDocumentsTheLoss(t *testing.T) {
 	sink := &discardConn{}
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) { return sink, nil })
+	s := mustDialFunc(t, func() (io.WriteCloser, error) { return sink, nil })
 	if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ type readWriter struct {
 
 func TestDialBackoffLimitsAttempts(t *testing.T) {
 	dials := 0
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		dials++
 		return nil, errors.New("down")
 	})
@@ -277,7 +277,7 @@ func TestDialBackoffLimitsAttempts(t *testing.T) {
 func TestBackoffResetsAfterSuccess(t *testing.T) {
 	fail := true
 	var sink bytes.Buffer
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		if fail {
 			return nil, errors.New("down")
 		}
@@ -297,7 +297,7 @@ func TestBackoffResetsAfterSuccess(t *testing.T) {
 }
 
 func TestCloseRefusesToLosePending(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 4; i++ {
@@ -325,12 +325,11 @@ func TestCloseRefusesToLosePending(t *testing.T) {
 }
 
 func TestLivenessStaleAndResync(t *testing.T) {
-	c := NewCoordinator(2)
+	var events []obs.Event
+	c := NewCoordinator(2, WithStaleAfter(10*time.Second),
+		WithSink(obs.FuncSink(func(e obs.Event) { events = append(events, e) })))
 	clock := time.Unix(0, 0)
 	c.now = func() time.Time { return clock }
-	c.SetStaleAfter(10 * time.Second)
-	var events []obs.Event
-	c.SetSink(obs.FuncSink(func(e obs.Event) { events = append(events, e) }))
 
 	c.Apply(Msg{Site: 0, Kind: SumDelta, Delta: 1, Seq: 1})
 	c.Apply(Msg{Site: 1, Kind: SumDelta, Delta: 1, Seq: 1})
@@ -385,7 +384,7 @@ func TestLivenessStaleAndResync(t *testing.T) {
 }
 
 func TestSenderStateRoundTrip(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 3; i++ {
@@ -396,7 +395,7 @@ func TestSenderStateRoundTrip(t *testing.T) {
 		t.Fatalf("State = NextSeq %d, %d backlog", st.NextSeq, len(st.Backlog))
 	}
 
-	r := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	r := mustDialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	if err := r.RestoreState(st); err != nil {
@@ -413,7 +412,7 @@ func TestSenderStateRoundTrip(t *testing.T) {
 
 	bad := st
 	bad.NextSeq = 1 // behind the backlog tail
-	if err := NewResilientSenderFunc(nil).RestoreState(bad); err == nil {
+	if err := mustDialFunc(t, nil).RestoreState(bad); err == nil {
 		t.Fatal("want error for NextSeq behind backlog")
 	}
 }
@@ -458,7 +457,7 @@ func TestDeepBacklogDrainsUnderLossyLink(t *testing.T) {
 	go coord.Serve(ln)
 
 	inj := chaos.New(chaos.Config{Seed: 11, PDrop: 0.04, PCut: 0.02})
-	s := NewResilientSenderFunc(inj.Dial(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 

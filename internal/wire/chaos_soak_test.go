@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"distwindow/internal/chaos"
+	"distwindow/mat"
 )
 
 // The chaos soak drives the same seeded workload twice — once fault-free,
@@ -96,18 +97,80 @@ func wrapDA2(s *DA2Site) *soakSite {
 	}
 }
 
+// withSum pairs a matrix site with a SUM site on the same sender, fed
+// each row's squared norm; the two are checkpointed and restored together.
+func withSum(ms *soakSite, ss *SumSite) *soakSite {
+	return &soakSite{
+		observe: func(t int64, v []float64) error {
+			if err := ms.observe(t, v); err != nil {
+				return err
+			}
+			return ss.Observe(t, mat.VecNormSq(v))
+		},
+		advance: func(t int64) error {
+			if err := ms.advance(t); err != nil {
+				return err
+			}
+			return ss.Advance(t)
+		},
+		checkpoint: func() func(Sender) (*soakSite, error) {
+			restoreM, st := ms.checkpoint(), ss.Snapshot()
+			return func(out Sender) (*soakSite, error) {
+				rm, err := restoreM(out)
+				if err != nil {
+					return nil, err
+				}
+				rs, err := RestoreSumSite(st, out)
+				if err != nil {
+					return nil, err
+				}
+				return withSum(rm, rs), nil
+			}
+		},
+	}
+}
+
+// The soak workload: soakRows seeded rows, row i at time i+1 on site
+// i%soakSites, then every site advanced to soakRows in site order.
+const (
+	soakD     = 6
+	soakW     = int64(120)
+	soakEps   = 0.2
+	soakSites = 2
+	soakRows  = 360
+)
+
+type soakRow struct {
+	t int64
+	v []float64
+}
+
+func soakWorkload() []soakRow {
+	rng := rand.New(rand.NewSource(99))
+	evs := make([]soakRow, soakRows)
+	for i := range evs {
+		v := make([]float64, soakD)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		evs[i] = soakRow{t: int64(i + 1), v: v}
+	}
+	return evs
+}
+
 // runSoak streams the seeded workload into a real TCP coordinator. With
 // inj non-nil every connection draws faults from it; with crash true,
 // site 0 is killed mid-stream and resumed from its last checkpoint plus a
 // re-feed of the rows observed since — the crashed process's input replay.
-func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, cdc Codec) soakResult {
+// With sum true every site also runs a SUM site over the same sender.
+func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, cdc Codec, sum bool) soakResult {
 	t.Helper()
 	const (
-		d       = 6
-		w       = int64(120)
-		eps     = 0.2
-		sites   = 2
-		rows    = 360
+		d       = soakD
+		w       = soakW
+		eps     = soakEps
+		sites   = soakSites
+		rows    = soakRows
 		cpAt    = 150 // site-0 checkpoint row (global index)
 		crashAt = 260 // site-0 crash row (global index)
 	)
@@ -117,8 +180,7 @@ func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, cdc Co
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	coord := NewCoordinator(d)
-	coord.SetStaleAfter(30 * time.Second)
+	coord := NewCoordinator(d, WithStaleAfter(30*time.Second))
 	go coord.Serve(ln)
 	defer coord.Close()
 
@@ -144,24 +206,20 @@ func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, cdc Co
 	ss := make([]*soakSite, sites)
 	for i := 0; i < sites; i++ {
 		senders[i] = newSender(int64(i) + 1)
-		ss[i] = newSoakSite(t, proto, SiteConfig{ID: i, D: d, W: w, Eps: eps}, senders[i])
+		cfg := SiteConfig{ID: i, D: d, W: w, Eps: eps}
+		ss[i] = newSoakSite(t, proto, cfg, senders[i])
+		if sum {
+			s, err := NewSumSite(cfg, senders[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss[i] = withSum(ss[i], s)
+		}
 	}
 
 	// Seeded workload: row i goes to site i%sites, so both runs stream the
 	// identical per-site subsequences.
-	rng := rand.New(rand.NewSource(99))
-	type row struct {
-		t int64
-		v []float64
-	}
-	evs := make([]row, rows)
-	for i := range evs {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		evs[i] = row{t: int64(i + 1), v: v}
-	}
+	evs := soakWorkload()
 
 	// wait blocks until the site's backlog is fully acknowledged; Flush
 	// inside the loop retries dials killed by faults.
@@ -178,7 +236,7 @@ func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, cdc Co
 
 	var restore func(Sender) (*soakSite, error)
 	var senderCP SenderState
-	var since []row // site-0 rows observed after the checkpoint
+	var since []soakRow // site-0 rows observed after the checkpoint
 
 	for i, e := range evs {
 		si := i % sites
@@ -246,9 +304,9 @@ func runChaosSoak(t *testing.T, proto string, cdc Codec) {
 	if testing.Short() {
 		t.Skip("chaos soak is a multi-second TCP test")
 	}
-	clean := runSoak(t, proto, nil, false, cdc)
+	clean := runSoak(t, proto, nil, false, cdc, false)
 	inj := soakInjector()
-	faulty := runSoak(t, proto, inj, true, cdc)
+	faulty := runSoak(t, proto, inj, true, cdc, false)
 
 	if len(clean.chat) != len(faulty.chat) {
 		t.Fatalf("estimate sizes differ: %d vs %d", len(clean.chat), len(faulty.chat))

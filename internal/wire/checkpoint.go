@@ -1,12 +1,8 @@
 package wire
 
 import (
-	"fmt"
-
-	"distwindow/internal/eh"
-	"distwindow/internal/iwmt"
-	"distwindow/internal/meh"
-	"distwindow/mat"
+	"distwindow/internal/core"
+	"distwindow/internal/protocol"
 )
 
 // Site crash-recovery: every networked site can serialize its complete
@@ -19,170 +15,79 @@ import (
 // already produced, and the coordinator's (Site, Seq) dedup discards
 // every delta it already consumed — the resync is exactly-once with no
 // coordinator-side coordination.
+//
+// A site's state is its one-site core tracker's site snapshot plus the
+// site configuration; restore goes through core's own restore.
 
 // DA1SiteState serializes a DA1Site.
 type DA1SiteState struct {
-	Cfg   SiteConfig
-	Hist  meh.Snapshot
-	Chat  []float64
-	Churn float64
-	LastF float64
-	PV    []float64
-	Now   int64
+	Cfg SiteConfig
+	core.DA1SiteSnapshot
 }
 
 // Snapshot captures the site's state (deep copies throughout).
 func (s *DA1Site) Snapshot() DA1SiteState {
-	return DA1SiteState{
-		Cfg:   s.cfg,
-		Hist:  s.hist.Snapshot(),
-		Chat:  append([]float64(nil), s.chat.Data()...),
-		Churn: s.churn,
-		LastF: s.lastF,
-		PV:    append([]float64(nil), s.pv...),
-		Now:   s.now,
-	}
+	return DA1SiteState{Cfg: s.cfg, DA1SiteSnapshot: s.core.Snapshot().Sites[0]}
 }
 
 // RestoreDA1Site rebuilds a site from a snapshot, pushing to out.
 func RestoreDA1Site(st DA1SiteState, out Sender) (*DA1Site, error) {
-	s, err := NewDA1Site(st.Cfg, out)
+	t, err := newCore(st.Cfg, func(cc core.Config, net *protocol.Network) (*core.DA1, error) {
+		return core.RestoreDA1(core.DA1Snapshot{Cfg: cc, Sites: []core.DA1SiteSnapshot{st.DA1SiteSnapshot}, Chat: zeroGram(cc)}, net)
+	})
 	if err != nil {
 		return nil, err
 	}
-	h, err := meh.Restore(st.Hist)
-	if err != nil {
-		return nil, fmt.Errorf("wire: DA1 site restore: %w", err)
-	}
-	s.hist = h
-	if err := restoreDense(s.chat, st.Chat); err != nil {
-		return nil, err
-	}
-	s.churn = st.Churn
-	s.lastF = st.LastF
-	if len(st.PV) == st.Cfg.D {
-		s.pv = append([]float64(nil), st.PV...)
-	}
-	s.now = st.Now
-	return s, nil
+	return newDA1Site(st.Cfg, out, t), nil
 }
 
 // DA2SiteState serializes a DA2Site (both variants).
 type DA2SiteState struct {
 	Cfg      SiteConfig
 	Compress bool
-	A        iwmt.Snapshot
-	Mass     eh.Snapshot
-	Ledger   []iwmt.Msg
-	Q        []iwmt.Msg
-	E        *iwmt.Snapshot
-	Resid    []float64
-	Boundary int64
-	Now      int64
+	core.DA2SiteSnapshot
 }
 
 // Snapshot captures the site's state (deep copies throughout).
 func (s *DA2Site) Snapshot() DA2SiteState {
-	st := DA2SiteState{
-		Cfg:      s.cfg,
-		Compress: s.compress,
-		A:        s.a.Snapshot(),
-		Mass:     s.mass.Snapshot(),
-		Ledger:   copyMsgs(s.ledger),
-		Q:        copyMsgs(s.q),
-		Boundary: s.boundary,
-		Now:      s.now,
-	}
-	if s.e != nil {
-		e := s.e.Snapshot()
-		st.E = &e
-	}
-	if s.resid != nil {
-		st.Resid = append([]float64(nil), s.resid.Data()...)
-	}
-	return st
+	sn := s.core.Snapshot()
+	return DA2SiteState{Cfg: s.cfg, Compress: sn.Compress, DA2SiteSnapshot: sn.Sites[0]}
 }
 
 // RestoreDA2Site rebuilds a site from a snapshot, pushing to out.
 func RestoreDA2Site(st DA2SiteState, out Sender) (*DA2Site, error) {
-	s, err := newDA2Site(st.Cfg, out, st.Compress)
+	t, err := newCore(st.Cfg, func(cc core.Config, net *protocol.Network) (*core.DA2, error) {
+		return core.RestoreDA2(core.DA2Snapshot{Cfg: cc, Compress: st.Compress, Sites: []core.DA2SiteSnapshot{st.DA2SiteSnapshot}, Chat: zeroGram(cc)}, net)
+	})
 	if err != nil {
 		return nil, err
 	}
-	mass, err := eh.Restore(st.Mass)
-	if err != nil {
-		return nil, fmt.Errorf("wire: DA2 site mass restore: %w", err)
-	}
-	s.mass = mass
-	a, err := iwmt.Restore(st.A, func() float64 { return st.Cfg.Eps * s.mass.Query() })
-	if err != nil {
-		return nil, fmt.Errorf("wire: DA2 site IWMT_a restore: %w", err)
-	}
-	s.a = a
-	s.ledger = copyMsgs(st.Ledger)
-	s.q = copyMsgs(st.Q)
-	s.boundary = st.Boundary
-	s.now = st.Now
-	if st.E != nil {
-		e, err := iwmt.Restore(*st.E, func() float64 { return st.Cfg.Eps * s.mass.Query() })
-		if err != nil {
-			return nil, fmt.Errorf("wire: DA2 site IWMT_e restore: %w", err)
-		}
-		s.e = e
-	}
-	if st.Resid != nil {
-		s.resid = mat.NewDense(st.Cfg.D, st.Cfg.D)
-		if err := restoreDense(s.resid, st.Resid); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return newDA2Site(st.Cfg, out, t), nil
 }
 
 // SumSiteState serializes a SumSite.
 type SumSiteState struct {
-	Cfg  SiteConfig
-	Hist eh.Snapshot
-	Chat float64
-	Now  int64
+	Cfg SiteConfig
+	core.SumSiteSnapshot
 }
 
 // Snapshot captures the site's state.
 func (s *SumSite) Snapshot() SumSiteState {
-	return SumSiteState{Cfg: s.cfg, Hist: s.hist.Snapshot(), Chat: s.chat, Now: s.now}
+	return SumSiteState{Cfg: s.cfg, SumSiteSnapshot: s.core.Snapshot().Sites[0]}
 }
 
 // RestoreSumSite rebuilds a site from a snapshot, pushing to out.
 func RestoreSumSite(st SumSiteState, out Sender) (*SumSite, error) {
-	s, err := NewSumSite(st.Cfg, out)
+	st.Cfg.D = 1
+	t, err := newCore(st.Cfg, func(cc core.Config, net *protocol.Network) (*core.SumTracker, error) {
+		return core.RestoreSum(core.SumSnapshot{Cfg: cc, Sites: []core.SumSiteSnapshot{st.SumSiteSnapshot}}, net)
+	})
 	if err != nil {
 		return nil, err
 	}
-	h, err := eh.Restore(st.Hist)
-	if err != nil {
-		return nil, fmt.Errorf("wire: SUM site restore: %w", err)
-	}
-	s.hist = h
-	s.chat = st.Chat
-	s.now = st.Now
-	return s, nil
+	return newSumSite(st.Cfg, out, t), nil
 }
 
-func copyMsgs(ms []iwmt.Msg) []iwmt.Msg {
-	if ms == nil {
-		return nil
-	}
-	out := make([]iwmt.Msg, len(ms))
-	for i, m := range ms {
-		out[i] = iwmt.Msg{T: m.T, V: append([]float64(nil), m.V...)}
-	}
-	return out
-}
-
-func restoreDense(dst *mat.Dense, data []float64) error {
-	if len(data) != len(dst.Data()) {
-		return fmt.Errorf("wire: snapshot matrix length %d, want %d", len(data), len(dst.Data()))
-	}
-	copy(dst.Data(), data)
-	return nil
-}
+// zeroGram is the coordinator half of a restored one-site tracker: a
+// networked site never folds its updates in place, so it stays zero.
+func zeroGram(cc core.Config) []float64 { return make([]float64, cc.D*cc.D) }

@@ -52,11 +52,19 @@ type Msg struct {
 	Site int
 	// Kind selects the payload.
 	Kind Kind
-	// T is the triggering timestamp.
+	// T is the emission time: the timestamp of the row or advance the
+	// sending site was processing when it emitted the frame (not the
+	// possibly older time a direction summarizes).
 	T int64
-	// V is a direction row (Direction kinds).
+	// V is a direction (Direction kinds): the frame carries the rank-one
+	// update Delta·VVᵀ.
 	V []float64
-	// Delta is a scalar update (SumDelta kind).
+	// Delta is the scalar of the update. For SumDelta it is the change to
+	// the sum. For a direction it is the rank-one scale when that is not
+	// ±1 (DA1 ships unit eigenvectors with Delta = λ); 0 means ±1 by Kind,
+	// which is how DA2, DA2-C and every legacy sender's frames apply.
+	// Coordinators that predate scaled directions ignore it (see
+	// PROTOCOLS.md, "Direction frames").
 	Delta float64
 	// Trace and Span carry the sender's trace context (0 = untraced): the
 	// root trace ID and the sending span's ID, so the coordinator's apply

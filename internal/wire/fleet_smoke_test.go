@@ -30,8 +30,7 @@ func runFleetSmoke(t *testing.T, cdc Codec) {
 	const sites = 2
 	const rowsPerSite = 200
 
-	coord := NewCoordinator(2)
-	coord.SetStaleAfter(30 * time.Second)
+	coord := NewCoordinator(2, WithStaleAfter(30*time.Second))
 	fleet := coord.EnableTelemetry()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"time"
 
 	"distwindow/internal/obs"
@@ -13,10 +14,7 @@ import (
 
 // This file is the transport construction API: NewSender/Dial/DialFunc
 // for the site side and the CoordinatorOption set for NewCoordinator,
-// mirroring the facade's New(cfg, opts...) idiom. The pre-options
-// constructors (NewConnSender, NewResilientSender, NewResilientSenderFunc)
-// and mutators (SetSink, SetTracer, SetStaleAfter) remain as thin
-// deprecated shims over this API.
+// mirroring the facade's New(cfg, opts...) idiom.
 
 // ErrOptionUnsupported reports an option that does not apply to the
 // transport being built — e.g. WithResilience on NewSender, whose fixed
@@ -116,14 +114,26 @@ func NewSender(conn io.WriteCloser, opts ...SenderOption) (*ConnSender, error) {
 }
 
 // Dial returns a resilient sender that (re)dials addr over TCP,
-// delivering exactly-once via the seq/ack/replay machinery. Options:
+// delivering exactly-once via the seq/ack/replay machinery, with backoff
+// defaults of 50ms base and 5s cap and a time-seeded dial jitter. Options:
 // WithCodec, WithStream, WithResilience.
 func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := NewResilientSender(addr)
+	s := &ResilientSender{
+		addr:        addr,
+		DialTimeout: 5 * time.Second,
+		BackoffBase: 50 * time.Millisecond,
+		BackoffMax:  5 * time.Second,
+		MaxInflight: DefaultMaxInflight,
+		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		now:         time.Now,
+	}
+	s.dial = func() (io.WriteCloser, error) {
+		return net.DialTimeout("tcp", addr, s.DialTimeout)
+	}
 	configureResilient(s, o)
 	return s, nil
 }
@@ -132,12 +142,20 @@ func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 // wrappers (package chaos), in-process pipes, tests. The returned conn's
 // capabilities pick the delivery mode: an io.Reader gets the
 // acknowledged path, a bare io.WriteCloser the retire-on-write one.
+// Backoff starts disabled (set ResilienceConfig.BackoffBase to enable it)
+// and the dial jitter is seeded with 1.
 func DialFunc(dial func() (io.WriteCloser, error), opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := NewResilientSenderFunc(dial)
+	s := &ResilientSender{
+		dial:        dial,
+		DialTimeout: time.Second,
+		MaxInflight: DefaultMaxInflight,
+		rng:         rand.New(rand.NewSource(1)),
+		now:         time.Now,
+	}
 	configureResilient(s, o)
 	return s, nil
 }
@@ -182,8 +200,11 @@ func WithSink(s obs.Sink) CoordinatorOption {
 	return func(c *Coordinator) { c.sink = s }
 }
 
-// WithTracer installs a causal tracer (nil disables); see SetTracer for
-// the span semantics.
+// WithTracer installs a causal tracer (nil disables). Traced messages
+// (Msg.Trace != 0) get an "apply" span linked under the sender's "send"
+// span; sketch queries get root "query" spans, head-sampled at the
+// tracer's rate. Only linked and root spans are recorded, so one tracer
+// is safe across connection goroutines.
 func WithTracer(tr *trace.Tracer) CoordinatorOption {
 	return func(c *Coordinator) { c.tracer = tr }
 }

@@ -107,11 +107,14 @@ func TestWithResilienceFields(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShimsStillGob: the pre-options constructors keep building
-// gob senders, so code that has not migrated keeps its wire format.
-func TestDeprecatedShimsStillGob(t *testing.T) {
+// TestDefaultCodecIsGob: senders built without WithCodec speak gob, the
+// framing every coordinator understands.
+func TestDefaultCodecIsGob(t *testing.T) {
 	var sink bytes.Buffer
-	cs := NewConnSender(nopCloser{&sink})
+	cs, err := NewSender(nopCloser{&sink})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cs.Send(Msg{Site: 1, Kind: SumDelta, Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +123,11 @@ func TestDeprecatedShimsStillGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cdc != Gob {
-		t.Fatalf("NewConnSender writes %v, want gob", cdc)
+		t.Fatalf("NewSender writes %v, want gob", cdc)
 	}
-	rs := NewResilientSenderFunc(func() (io.WriteCloser, error) { return nil, errors.New("down") })
+	rs := mustDialFunc(t, func() (io.WriteCloser, error) { return nil, errors.New("down") })
 	if rs.cdc() != Gob {
-		t.Fatalf("NewResilientSenderFunc codec = %v, want gob", rs.cdc())
+		t.Fatalf("DialFunc codec = %v, want gob", rs.cdc())
 	}
 }
 

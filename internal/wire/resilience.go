@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -107,48 +106,6 @@ type ResilientSender struct {
 // DefaultMaxInflight is the flow-control window the constructors install
 // when ResilienceConfig.MaxInflight is zero.
 const DefaultMaxInflight = 64
-
-// NewResilientSender returns a sender that (re)dials addr over TCP, with
-// backoff defaults of 50ms base and 5s cap and a time-seeded dial jitter
-// (use SetJitterSeed for reproducible runs).
-//
-// Deprecated: use Dial, which takes options (WithCodec, WithStream,
-// WithResilience).
-func NewResilientSender(addr string) *ResilientSender {
-	s := &ResilientSender{
-		addr:        addr,
-		codec:       Gob,
-		DialTimeout: 5 * time.Second,
-		BackoffBase: 50 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxInflight: DefaultMaxInflight,
-		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-		now:         time.Now,
-	}
-	s.dial = func() (io.WriteCloser, error) {
-		return net.DialTimeout("tcp", addr, s.DialTimeout)
-	}
-	return s
-}
-
-// NewResilientSenderFunc builds a sender over an arbitrary dial seam —
-// fault-injection wrappers (package chaos), in-process pipes, tests. The
-// returned conn's capabilities pick the delivery mode: an io.Reader gets
-// the acknowledged path, a bare io.WriteCloser the retire-on-write one.
-// Backoff starts disabled; set BackoffBase to enable it.
-//
-// Deprecated: use DialFunc, which takes options (WithCodec, WithStream,
-// WithResilience).
-func NewResilientSenderFunc(dial func() (io.WriteCloser, error)) *ResilientSender {
-	return &ResilientSender{
-		dial:        dial,
-		codec:       Gob,
-		DialTimeout: time.Second,
-		MaxInflight: DefaultMaxInflight,
-		rng:         rand.New(rand.NewSource(1)),
-		now:         time.Now,
-	}
-}
 
 // Stream returns a Sender view stamping every message with the given
 // stream id before it enters the delivery machinery, so many logical

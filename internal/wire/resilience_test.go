@@ -13,6 +13,16 @@ import (
 	"distwindow/mat"
 )
 
+// mustDialFunc builds a DialFunc sender, failing the test on error.
+func mustDialFunc(t *testing.T, dial func() (io.WriteCloser, error), opts ...SenderOption) *ResilientSender {
+	t.Helper()
+	s, err := DialFunc(dial, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // flakyConn fails after a fixed number of writes.
 type flakyConn struct {
 	inner     io.WriteCloser
@@ -39,7 +49,7 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	go coord.Serve(ln)
 
 	dials := 0
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		dials++
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
@@ -84,7 +94,7 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 }
 
 func TestResilientSenderBacklogLimit(t *testing.T) {
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		return nil, errors.New("unreachable")
 	})
 	s.MaxBacklog = 3
@@ -104,7 +114,7 @@ func TestResilientSenderBacklogLimit(t *testing.T) {
 func TestResilientSenderBuffersWhileDown(t *testing.T) {
 	up := false
 	var sink bytes.Buffer
-	s := NewResilientSenderFunc(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.WriteCloser, error) {
 		if !up {
 			return nil, errors.New("down")
 		}

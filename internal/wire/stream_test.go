@@ -227,8 +227,7 @@ func runMuxSoak(t *testing.T, streams []string, inj *chaos.Injector, cdc Codec) 
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	coord := NewCoordinator(d)
-	coord.SetStaleAfter(30 * time.Second)
+	coord := NewCoordinator(d, WithStaleAfter(30*time.Second))
 	go coord.Serve(ln)
 	defer coord.Close()
 

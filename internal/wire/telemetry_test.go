@@ -204,7 +204,7 @@ func TestSendBestEffortBypassesBacklog(t *testing.T) {
 		mu.Unlock()
 		return cli, nil
 	}
-	s := NewResilientSenderFunc(dial)
+	s := mustDialFunc(t, dial)
 	defer func() { s.DiscardPending = true; _ = s.Close() }()
 
 	// A data frame establishes the connection and the seq space.
@@ -281,7 +281,10 @@ func TestTelemetrySenderEndToEnd(t *testing.T) {
 
 	var rows0, rows1 obs.Counter
 	mkSite := func(site int, rows *obs.Counter) (*ResilientSender, *telemetry.Publisher) {
-		s := NewResilientSender(ln.Addr().String())
+		s, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
 		collect := CollectSite(site, "", "DA2", rows.Load, s)
 		pub := telemetry.NewPublisher(collect, TelemetrySender(s))
 		return s, pub

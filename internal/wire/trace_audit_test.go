@@ -115,8 +115,7 @@ func TestDA2WireAuditAndTraceChain(t *testing.T) {
 		rows  = 3000
 	)
 	ring := trace.NewRing(1 << 14)
-	c := NewCoordinator(d)
-	c.SetTracer(trace.New(ring, 1))
+	c := NewCoordinator(d, WithTracer(trace.New(ring, 1)))
 
 	sites := make([]*DA2Site, m)
 	for i := range sites {
@@ -229,6 +228,55 @@ func TestDA2WireAuditAndTraceChain(t *testing.T) {
 	for _, want := range []string{"ingest", "send", "apply", "query"} {
 		if !ops[want] {
 			t.Fatalf("Chrome export missing %q events (have %v)", want, ops)
+		}
+	}
+}
+
+// TestSiteBucketInstantsCarrySiteID: a networked site runs a one-site core
+// tracker, whose own site index is 0; the bucket-lifecycle instants it
+// records must still carry the site's SiteConfig.ID.
+func TestSiteBucketInstantsCarrySiteID(t *testing.T) {
+	const id = 7
+	cfg := SiteConfig{ID: id, D: 3, W: 40, Eps: 0.2}
+	da1, err := NewDA1Site(cfg, &recordSender{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	da2, err := NewDA2Site(cfg, &recordSender{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := NewSumSite(cfg, &recordSender{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []interface{ SetTracer(*trace.Tracer) }{da1, da2, sum} {
+		ring := trace.NewRing(1 << 12)
+		s.SetTracer(trace.New(ring, 1))
+		for i := int64(1); i <= 200; i++ {
+			var err error
+			switch s := s.(type) {
+			case *SumSite:
+				err = s.Observe(i, float64(i%5+1))
+			case interface{ Observe(int64, []float64) error }:
+				err = s.Observe(i, []float64{float64(i % 3), 1, 0.5})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		buckets := 0
+		for _, sp := range ring.Snapshot() {
+			switch sp.Op {
+			case trace.OpBucketCreate, trace.OpBucketMerge, trace.OpBucketExpire:
+				buckets++
+				if sp.Site != id {
+					t.Fatalf("%T: bucket instant %v labelled site %d, want %d", s, sp.Op, sp.Site, id)
+				}
+			}
+		}
+		if buckets == 0 {
+			t.Fatalf("%T: no bucket instants recorded", s)
 		}
 	}
 }

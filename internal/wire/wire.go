@@ -1,10 +1,11 @@
 // Package wire runs the one-way deterministic protocols (SUM, DA1, DA2)
 // over real network connections — the deployment the paper leaves as
 // future work ("implementing distributed monitoring algorithms in a real
-// distributed system"). Sites hold their protocol state locally and push
-// messages to a coordinator over TCP (or any net.Conn); the coordinator
-// folds them into its covariance estimate and answers sketch queries
-// concurrently.
+// distributed system"). Each site drives a one-site internal/core tracker
+// — the same site logic the in-process trackers run — and pushes the
+// updates it emits to a coordinator over TCP (or any net.Conn); the
+// coordinator folds them into its covariance estimate with the in-process
+// arithmetic and answers sketch queries concurrently.
 //
 // Frames travel in one of two codecs (package codec): the legacy
 // encoding/gob streams, or the binary v2 framing whose per-frame CRC
@@ -75,8 +76,8 @@ var (
 func CodecByName(name string) (Codec, bool) { return codec.ByName(name) }
 
 // Coordinator receives messages from any number of sites and maintains,
-// per logical stream, Ĉ = Σ flag·vᵀv plus the scalar sum estimate. Safe
-// for concurrent use.
+// per logical stream, Ĉ = Σ Delta·vvᵀ (Delta = ±1 by Kind when a frame
+// carries 0) plus the scalar sum estimate. Safe for concurrent use.
 //
 // Frames carry a StreamID ("" = the default stream); each distinct id
 // gets its own estimate, created on first frame. Every stream shares the
@@ -152,9 +153,7 @@ type siteState struct {
 
 // NewCoordinator returns a coordinator for d-dimensional directions,
 // configured by options (WithSink, WithTracer, WithStaleAfter,
-// WithTelemetry). The zero-option call is the pre-options constructor
-// unchanged; every option can also still be installed through the
-// deprecated Set*/Enable* mutators before serving.
+// WithTelemetry).
 func NewCoordinator(d int, opts ...CoordinatorOption) *Coordinator {
 	if d < 1 {
 		panic("wire: d must be positive")
@@ -182,31 +181,6 @@ func (c *Coordinator) est(stream string) *streamEst {
 	}
 	return e
 }
-
-// SetStaleAfter configures the liveness bound: a site whose last frame is
-// older than d is reported stale by CheckLiveness, Metrics and
-// SiteStatuses (0 disables staleness detection, the default). Install
-// before serving.
-//
-// Deprecated: pass WithStaleAfter to NewCoordinator.
-func (c *Coordinator) SetStaleAfter(d time.Duration) { c.staleAfter = d }
-
-// SetSink installs an event sink receiving one EvMsgReceived per applied
-// message, with Site set to the original sender, and one EvMsgRejected
-// per malformed frame (nil disables). Install before serving; the field
-// is read without synchronization.
-//
-// Deprecated: pass WithSink to NewCoordinator.
-func (c *Coordinator) SetSink(s obs.Sink) { c.sink = s }
-
-// SetTracer installs a causal tracer (nil disables). Traced messages
-// (Msg.Trace != 0) get an "apply" span linked under the sender's "send"
-// span; sketch queries get root "query" spans, head-sampled at the
-// tracer's rate. Install before serving; only linked and root spans are
-// recorded, so one tracer is safe across connection goroutines.
-//
-// Deprecated: pass WithTracer to NewCoordinator.
-func (c *Coordinator) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // reject counts a malformed message and reports it to the sink.
 func (c *Coordinator) reject(m Msg) {
@@ -277,6 +251,13 @@ func (c *Coordinator) Apply(m Msg) error {
 			return nil
 		}
 	}
+	// A CRC-valid frame can still carry NaN or ±Inf, and one such value
+	// folded into Ĉ or the sum poisons it for good. The frame has already
+	// consumed its sequence number above, like every other rejected frame.
+	if !mat.AllFinite(m.V...) || !mat.AllFinite(m.Delta) {
+		c.reject(m)
+		return errors.New("wire: non-finite value in frame")
+	}
 	if c.tracer != nil && m.Trace != 0 {
 		sp := c.tracer.StartLinked(trace.Context{Trace: m.Trace, Span: m.Span}, trace.OpApply, m.Site, m.T)
 		defer sp.End()
@@ -289,12 +270,17 @@ func (c *Coordinator) Apply(m Msg) error {
 			return fmt.Errorf("wire: direction length %d, want %d", len(m.V), c.d)
 		}
 		payload = int64(8 * (len(m.V) + 3))
-		flag := 1.0
-		if m.Kind == DirectionRemove {
-			flag = -1
+		// Delta is the rank-one scale when it is not ±1 (0 = ±1 by Kind):
+		// Ĉ += Delta·VVᵀ is exactly the in-process tracker's Apply.
+		scale := m.Delta
+		if scale == 0 {
+			scale = 1
+			if m.Kind == DirectionRemove {
+				scale = -1
+			}
 		}
 		c.mu.Lock()
-		mat.OuterAdd(c.est(m.StreamID).chat, m.V, flag)
+		mat.OuterAdd(c.est(m.StreamID).chat, m.V, scale)
 		c.mu.Unlock()
 	case SumDelta:
 		payload = 8 * 3
@@ -384,12 +370,12 @@ type SiteStatus struct {
 	// LastSeen is the wall-clock arrival time of the site's latest frame.
 	LastSeen time.Time
 	// Stale reports that the site has been silent longer than the
-	// SetStaleAfter bound — its window contribution may be degraded.
+	// WithStaleAfter bound — its window contribution may be degraded.
 	Stale bool
 }
 
 // CheckLiveness sweeps the per-site records, marks sites silent for
-// longer than the SetStaleAfter bound as stale (emitting one EvSiteStale
+// longer than the WithStaleAfter bound as stale (emitting one EvSiteStale
 // per transition), and returns the number of stale sites. With no bound
 // configured it reports zero.
 func (c *Coordinator) CheckLiveness() int {
@@ -449,7 +435,8 @@ type CoordinatorMetrics struct {
 	// DirectionAdds, DirectionRemoves and SumDeltas break Msgs down by
 	// message kind.
 	DirectionAdds, DirectionRemoves, SumDeltas int64
-	// BadMsgs counts rejected messages (dimension mismatch, unknown kind).
+	// BadMsgs counts rejected messages (dimension mismatch, unknown kind,
+	// non-finite value, corrupt frame).
 	BadMsgs int64
 	// DupMsgs counts sequenced frames dropped because their Seq was
 	// already consumed (replays after reconnect or site restart). Dups are
@@ -471,7 +458,7 @@ type CoordinatorMetrics struct {
 	// default stream counts once it has carried a frame).
 	Streams int64
 	// StaleSites is the number of (site, stream) senders currently past
-	// the SetStaleAfter liveness bound (0 when staleness detection is
+	// the WithStaleAfter liveness bound (0 when staleness detection is
 	// disabled).
 	StaleSites int64
 	// Conns is the number of currently connected sites (Serve only).
@@ -536,9 +523,9 @@ func (c *Coordinator) MetricsMux(opts ...obs.MuxOption) *http.ServeMux {
 // HandleConn decodes messages from one connection until EOF or an
 // unrecoverable decode error, detecting the connection's codec (gob or
 // binary v2) from its first byte. A message the coordinator refuses to
-// apply (wrong dimension, unknown kind) is counted in BadMsgs and
-// reported to the sink, but does NOT end the connection: one malformed
-// frame must not drop a site whose stream is otherwise healthy.
+// apply (wrong dimension, unknown kind, NaN or ±Inf) is counted in
+// BadMsgs and reported to the sink, but does NOT end the connection: one
+// malformed frame must not drop a site whose stream is otherwise healthy.
 //
 // Corruption handling depends on the codec. A gob stream cannot
 // resynchronize after corruption, so a gob decode error still ends the
@@ -729,14 +716,6 @@ type ConnSender struct {
 
 	msgs   obs.Counter
 	encLat obs.Histogram
-}
-
-// NewConnSender wraps a connection with the legacy gob codec.
-//
-// Deprecated: use NewSender, which takes options (WithCodec, WithStream).
-func NewConnSender(conn io.WriteCloser) *ConnSender {
-	s, _ := NewSender(conn)
-	return s
 }
 
 // Send encodes one message.

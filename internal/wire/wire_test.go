@@ -197,7 +197,11 @@ func TestOverTCP(t *testing.T) {
 				siteErrs[si] = err
 				return
 			}
-			sender := NewConnSender(conn)
+			sender, err := NewSender(conn)
+			if err != nil {
+				siteErrs[si] = err
+				return
+			}
 			defer sender.Close()
 			site, err := NewDA2Site(SiteConfig{ID: si, D: d, W: w, Eps: 0.1}, sender)
 			if err != nil {
@@ -250,7 +254,10 @@ func TestConnSenderRoundTrip(t *testing.T) {
 	c := NewCoordinator(2)
 	done := make(chan error, 1)
 	go func() { done <- c.HandleConn(server) }()
-	s := NewConnSender(client)
+	s, err := NewSender(client)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Send(Msg{Site: 3, Kind: DirectionAdd, T: 7, V: []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}

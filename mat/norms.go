@@ -36,6 +36,19 @@ func VecNormSq(x []float64) float64 {
 	return s
 }
 
+// AllFinite reports whether every value is finite (no NaN, no ±Inf). It is
+// the admission check on every ingest path: a single non-finite value
+// folded into a sketch poisons every later estimate.
+func AllFinite(xs ...float64) bool {
+	for _, v := range xs {
+		// v−v is 0 for every finite v and NaN for NaN and ±Inf.
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // FrobSq returns the squared Frobenius norm ‖m‖_F².
 func FrobSq(m *Dense) float64 {
 	var s float64
