@@ -279,7 +279,9 @@ func BenchmarkObserveHotPath(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr.Observe(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]})
+				if err := tr.TryObserve(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -312,14 +314,15 @@ func BenchmarkObserveHotPathTraced(b *testing.B) {
 			b.Run(string(proto)+"/"+variant.name, func(b *testing.B) {
 				tr, err := distwindow.New(distwindow.Config{
 					Protocol: proto, D: d, W: 1 << 20, Eps: 0.1, Sites: sites, Seed: 1,
-				})
+				}, distwindow.WithTracing(distwindow.TraceConfig{SampleEvery: variant.every}))
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr.EnableTracing(distwindow.TraceConfig{SampleEvery: variant.every})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr.Observe(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]})
+					if err := tr.TryObserve(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -370,7 +373,9 @@ func BenchmarkObserveHotPathTelemetry(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tr.Observe(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]})
+					if err := tr.TryObserve(i%sites, distwindow.Row{T: int64(i + 1), V: rows[i%len(rows)]}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -22,9 +22,9 @@ func runSplit(t *testing.T, cfg Config, rows []Row, sites []int, k int) (ref, re
 		t.Fatal(err)
 	}
 	for i, r := range rows {
-		ref.Observe(sites[i], r)
+		observe(t, ref, sites[i], r)
 		if i < k {
-			half.Observe(sites[i], r)
+			observe(t, half, sites[i], r)
 		}
 	}
 	var buf bytes.Buffer
@@ -36,7 +36,7 @@ func runSplit(t *testing.T, cfg Config, rows []Row, sites []int, k int) (ref, re
 		t.Fatal(err)
 	}
 	for i := k; i < len(rows); i++ {
-		restored.Observe(sites[i], rows[i])
+		observe(t, restored, sites[i], rows[i])
 	}
 	return ref, restored
 }
@@ -129,7 +129,7 @@ func TestCheckpointRoundTripPreservesConfig(t *testing.T) {
 	tr, _ := New(cfg)
 	rows, sites := checkpointFixture(300, 4, 5, 6)
 	for i, r := range rows {
-		tr.Observe(sites[i], r)
+		observe(t, tr, sites[i], r)
 	}
 	var buf bytes.Buffer
 	if err := tr.Checkpoint(&buf); err != nil {
@@ -175,7 +175,7 @@ func trackerFor(t *testing.T, p Protocol) *Tracker {
 	}
 	rows, sites := checkpointFixture(200, 4, 3, 3)
 	for i, r := range rows {
-		tr.Observe(sites[i], r)
+		observe(t, tr, sites[i], r)
 	}
 	return tr
 }

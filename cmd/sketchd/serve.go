@@ -16,7 +16,7 @@ import (
 // runServe is sketchd's multi-tenant mode: a stream registry behind an
 // HTTP API, so one process tracks any number of independent windows.
 //
-//	POST /open?stream=id&proto=DA1&d=8[&w=&eps=&sites=&ell=&seed=&snap_every=]
+//	POST /open?stream=id&proto=DA1&d=8[&w=&eps=&sites=&ell=&seed=]
 //	POST /ingest?stream=id          body: CSV rows `timestamp,site,v1,...,vd`
 //	GET  /query?stream=id[&top=k]   sketch shape, top-k σ², snapshot version,
 //	                                cost
@@ -29,10 +29,11 @@ import (
 //	                                or ?format=prom asks for it)
 //	GET  /healthz
 //
-// Streams are opened with snapshot publication armed, so every query
-// endpoint serves the stream's latest published snapshot without taking
-// any lock: queries never block ingest, ingest never blocks queries, and
-// N concurrent queriers of one snapshot version share one factorization.
+// Every query endpoint serves the stream's latest published snapshot
+// without taking any lock: queries never block ingest, ingest never blocks
+// queries, and N concurrent queriers of one snapshot version share one
+// factorization. Ingest drains the stream after every batch, which
+// publishes the version those queries see.
 // Ingest and evict for one stream serialize on a per-stream gate (the
 // facade's single-ingester contract enforced server-side); a query that
 // races an eviction gets HTTP 409, not a hang and not a read of reclaimed
@@ -120,8 +121,7 @@ func (s *serveState) handleOpen(w http.ResponseWriter, r *http.Request) {
 		Sites:    1,
 	}
 	var err error
-	snapEvery := 0
-	for name, dst := range map[string]*int{"d": &cfg.D, "sites": &cfg.Sites, "ell": &cfg.Ell, "snap_every": &snapEvery} {
+	for name, dst := range map[string]*int{"d": &cfg.D, "sites": &cfg.Sites, "ell": &cfg.Ell} {
 		if s := q.Get(name); s != "" {
 			if *dst, err = strconv.Atoi(s); err != nil {
 				http.Error(w, fmt.Sprintf("bad %s: %v", name, err), http.StatusBadRequest)
@@ -147,8 +147,7 @@ func (s *serveState) handleOpen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Arm snapshot publication so the query endpoints are lock-free reads.
-	_, created, err := s.reg.Open(id, cfg, distwindow.WithSnapshots(snapEvery))
+	_, created, err := s.reg.Open(id, cfg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -190,15 +189,15 @@ func (s *serveState) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// The end of an HTTP batch is a natural consistency point: publish an
 	// exact snapshot (cheap d×ℓ copy) so a query issued after this response
-	// sees every row of the batch, regardless of the publication cadence.
+	// sees every row of the batch.
 	tr.Drain()
 	writeJSON(w, map[string]any{"stream": id, "rows": rows, "stale": stale})
 }
 
 // snapshotFor resolves a stream for the lock-free query endpoints. It
-// takes no gate: armed trackers serve queries from published snapshots,
-// which stay valid even across a concurrent eviction — the explicit
-// Closed check turns queries against an evicted stream into 409.
+// takes no gate: queries are served from published snapshots, which stay
+// valid even across a concurrent eviction — the explicit Closed check
+// turns queries against an evicted stream into 409.
 func (s *serveState) snapshotFor(w http.ResponseWriter, id string) (*distwindow.Tracker, *distwindow.Snapshot, bool) {
 	tr, ok := s.reg.Get(id)
 	if !ok {
@@ -209,13 +208,7 @@ func (s *serveState) snapshotFor(w http.ResponseWriter, id string) (*distwindow.
 		http.Error(w, "stream evicted", http.StatusConflict)
 		return nil, nil, false
 	}
-	snap, err := tr.Snapshot()
-	if err != nil {
-		// Unreachable for streams this server opened (always armed); kept
-		// as a real error path so a future unarmed mode fails loudly.
-		http.Error(w, err.Error(), http.StatusConflict)
-		return nil, nil, false
-	}
+	snap, _ := tr.Snapshot() // never fails
 	return tr, snap, true
 }
 

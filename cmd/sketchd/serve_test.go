@@ -50,7 +50,7 @@ func TestServeLifecycle(t *testing.T) {
 	defer reg.Close()
 	h := newServeHandler(reg, false)
 
-	if w := doReq(t, h, "POST", "/open?stream=a&proto=DA1&d=3&w=1000&snap_every=16", ""); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/open?stream=a&proto=DA1&d=3&w=1000", ""); w.Code != 200 {
 		t.Fatalf("open: %d %s", w.Code, w.Body.String())
 	}
 	if w := doReq(t, h, "POST", "/ingest?stream=a", csvRows(1, 200)); w.Code != 200 {
@@ -68,11 +68,10 @@ func TestServeLifecycle(t *testing.T) {
 		t.Errorf("protocol = %v, want DA1", m["protocol"])
 	}
 	if v := m["snapshotVersion"].(float64); v < 2 {
-		t.Errorf("snapshotVersion = %v, want ≥2 after 200 rows at cadence 16", v)
+		t.Errorf("snapshotVersion = %v, want ≥2 after a 200-row batch", v)
 	}
 	// Ingest publishes an exact snapshot at the end of every batch, so a
-	// query after the ingest response sees all of the batch's rows even
-	// when the cadence has not elapsed.
+	// query after the ingest response sees all of the batch's rows.
 	if r := m["snapshotRows"].(float64); r != 200 {
 		t.Errorf("snapshotRows = %v, want 200 (batch-boundary publish)", r)
 	}
@@ -199,7 +198,7 @@ func TestServeGateLeak(t *testing.T) {
 	// stream.
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("churn-%d", i)
-		if _, _, err := reg.Open(id, distwindow.Config{Protocol: distwindow.DA1, D: 3, W: 100, Eps: 0.1, Sites: 1}, distwindow.WithSnapshots(0)); err != nil {
+		if _, _, err := reg.Open(id, distwindow.Config{Protocol: distwindow.DA1, D: 3, W: 100, Eps: 0.1, Sites: 1}); err != nil {
 			t.Fatal(err)
 		}
 		w := httptest.NewRecorder()
@@ -237,7 +236,7 @@ func TestServeConcurrentChurn(t *testing.T) {
 	}
 	openStream := func(i int) string {
 		id := fmt.Sprintf("s%d", i)
-		w := doReq(t, h, "POST", "/open?stream="+id+"&proto=DA1&d=3&w=1000&snap_every=8", "")
+		w := doReq(t, h, "POST", "/open?stream="+id+"&proto=DA1&d=3&w=1000", "")
 		if w.Code != 200 {
 			t.Errorf("open %s: %d", id, w.Code)
 		}
@@ -277,7 +276,7 @@ func TestServeConcurrentChurn(t *testing.T) {
 					check("score", doReq(t, h, "POST", "/score?stream="+id, `{"v":[1,0,1],"k":2}`))
 				case 4:
 					check("evict", doReq(t, h, "POST", "/evict?stream="+id, ""))
-					check("reopen", doReq(t, h, "POST", "/open?stream="+id+"&proto=DA1&d=3&w=1000&snap_every=8", ""))
+					check("reopen", doReq(t, h, "POST", "/open?stream="+id+"&proto=DA1&d=3&w=1000", ""))
 				}
 			}
 		}(g)

@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -136,10 +137,11 @@ type Config struct {
 	// DecayGamma is the per-tick decay factor for Protocol == Decay
 	// (ignored otherwise; W is ignored by the decay tracker).
 	DecayGamma float64
-	// MaxSkew, when positive, lets Observe accept timestamps up to MaxSkew
-	// ticks out of order: each site's rows pass through a reorder buffer
-	// that delays them until no earlier row can still arrive. Rows older
-	// than the skew horizon are dropped (counted in SkewDropped).
+	// MaxSkew, when positive, lets TryObserve accept timestamps up to
+	// MaxSkew ticks out of order: each site's rows pass through a reorder
+	// buffer that delays them until no earlier row can still arrive. Rows
+	// older than the skew horizon are dropped (counted in
+	// Metrics().SkewDropped).
 	MaxSkew int64
 }
 
@@ -210,16 +212,15 @@ func wrapCoreConfigErr(err error) error {
 // Metrics and Stats may be called from other goroutines (e.g. an HTTP
 // metrics handler) at any time.
 //
-// Queries concurrent with ingestion are supported through published
-// snapshots: build the tracker WithSnapshots and Sketch, SketchGram,
-// Snapshot and SnapshotVersion become lock-free reads of the latest
-// published version, safe from any number of goroutines while feeders
-// run, lagging ingest by at most the publication cadence (Drain first for
-// an exact read). Without WithSnapshots, queries keep the legacy exact
-// semantics — they assume quiescent feeders — but are hardened by an
-// internal gate: a query overlapping an in-flight ingest call waits for
-// it (and briefly holds off new ones) instead of racing, and Snapshot
-// reports ErrQueryDuringIngest rather than reading torn state.
+// Every query reads a published, immutable Snapshot of the coordinator
+// state, so no query ever changes what later queries return. Snapshot and
+// SnapshotVersion are lock-free: one atomic load of the latest published
+// version, safe from any number of goroutines while feeders run, and never
+// blocking ingest. Sketch and SketchGram are exact: each briefly holds off
+// ingest (waiting out in-flight calls) to publish the current state, then
+// reads that version. On a parallel tracker the catch-up drains the
+// pipeline, so only the feeder side should call them; a reader that must
+// never block ingest uses Snapshot.
 type Tracker struct {
 	inner protocol.Tracker
 	net   *protocol.Network
@@ -238,8 +239,9 @@ type Tracker struct {
 	sink    obs.Sink
 
 	// tracer/traceRing hold the causal-tracing state installed by
-	// EnableTracing; aud is the live ε-error auditor from EnableAudit.
-	// All three are nil by default and cost one nil-check when off.
+	// WithTracing; aud is the live ε-error auditor from WithAudit. All
+	// three are fixed at construction, nil by default, and cost one
+	// nil-check when off.
 	tracer    *trace.Tracer
 	traceRing *trace.Ring
 	aud       *audit.Auditor
@@ -270,19 +272,13 @@ type Tracker struct {
 	// only after a drain barrier.
 	lastAppliedT int64
 
-	// Snapshot publication state (see snapshot.go). snapArmed, snapEvery
-	// and snapper are fixed at construction; snap is the latest published
-	// immutable version; snapSince counts events since the last sequential
-	// publication (ingest goroutine only); gate coordinates exact reads
-	// with ingest.
-	snapArmed bool
-	snapEvery int
-	snapper   protocol.Snapshotter
-	snapSince int
-	snapVer   atomic.Uint64
-	snap      atomic.Pointer[Snapshot]
-	snapPubs  obs.Counter
-	gate      queryGate
+	// Snapshot publication state (see snapshot.go). snap is the latest
+	// published immutable version, never nil after construction. gate is
+	// held shared by ingest calls and exclusively by drains and exact
+	// reads, which publish.
+	snapVer atomic.Uint64
+	snap    atomic.Pointer[Snapshot]
+	gate    sync.RWMutex
 
 	// batch holds per-site staging slices for ObserveBatch's parallel
 	// path. Indexed by site and touched only by that site's feeder
@@ -369,32 +365,35 @@ func newWithOptions(cfg Config, o *options) (*Tracker, error) {
 }
 
 // applyOptions installs the folded option settings on a freshly built (or
-// freshly restored) tracker: observability first (sink, tracing, audit),
-// the parallel pipeline last, so incompatible combinations are rejected
-// before any goroutine starts. Shared by New and Restore.
+// freshly restored) tracker: the sink, then snapshot version 1, then
+// tracing and audit, the parallel pipeline last, so incompatible
+// combinations are rejected before any goroutine starts and the
+// coordinator goroutine inherits a published snapshot. Shared by New and
+// Restore.
 func (t *Tracker) applyOptions(o *options) error {
 	if o.haveSink {
-		t.SetSink(o.sink)
-	}
-	if o.snapshots {
-		// Arm before the pipeline starts so the coordinator goroutine
-		// inherits the armed state (goroutine creation orders the writes).
-		if err := t.armSnapshots(o.snapEvery); err != nil {
-			return err
+		t.sink = o.sink
+		t.net.SetSink(o.sink)
+		if ss, ok := t.inner.(core.SinkSetter); ok {
+			ss.SetSink(o.sink)
 		}
 	}
-	if o.tracing != nil {
-		t.EnableTracing(*o.tracing)
+	t.publishAt(math.MinInt64)
+	if o.tracing != nil && o.tracing.SampleEvery > 0 {
+		t.traceRing = trace.NewRing(o.tracing.RingSize)
+		t.tracer = trace.New(t.traceRing, o.tracing.SampleEvery)
+		t.net.SetTracer(t.tracer)
+		if ts, ok := t.inner.(core.TracerSetter); ok {
+			ts.SetTracer(t.tracer)
+		}
 	}
 	if o.audit != nil {
-		if err := t.EnableAudit(*o.audit); err != nil {
+		if err := t.startAudit(*o.audit); err != nil {
 			return err
 		}
 	}
 	if o.parallel {
-		if err := t.startParallel(o.workers, o.ringSize); err != nil {
-			return err
-		}
+		return t.startParallel(o.workers, o.ringSize, o.publishEvery)
 	}
 	return nil
 }
@@ -434,9 +433,9 @@ const latSampleMask = 15
 // returned as ErrStale. The call blocks for backpressure when the site's
 // ring is full.
 func (t *Tracker) TryObserve(site int, r Row) error {
-	t.gate.enterShared()
+	t.gate.RLock()
 	err := t.tryObserve1(site, r)
-	t.gate.exitShared()
+	t.gate.RUnlock()
 	return err
 }
 
@@ -509,7 +508,6 @@ func (t *Tracker) deliver(site int, r stream.Row) {
 		if t.aud != nil {
 			t.aud.Observe(r.T, r.V)
 		}
-		t.snapTick()
 		return
 	}
 	sp := t.tracer.Start(trace.OpIngest, site, r.T)
@@ -525,7 +523,6 @@ func (t *Tracker) deliver(site int, r stream.Row) {
 	if t.aud != nil {
 		t.aud.Observe(r.T, r.V)
 	}
-	t.snapTick()
 }
 
 // deliverSkew forwards a buffer-released row, dropping it if delivery
@@ -542,23 +539,9 @@ func (t *Tracker) deliverSkew(site int, r stream.Row) {
 	t.deliver(site, r)
 }
 
-// Observe delivers a row to the given site. It is TryObserve with the
-// historical contract: caller bugs (ErrSiteRange, ErrDimension) and
-// non-finite rows (ErrNonFinite) panic, stale rows are silently dropped
-// and counted.
-//
-// Deprecated: call TryObserve, which reports delivery problems as errors
-// the caller can distinguish (errors.Is against ErrSiteRange, ErrDimension,
-// ErrStale) instead of panicking. Observe remains for compatibility.
-func (t *Tracker) Observe(site int, r Row) {
-	if err := t.TryObserve(site, r); err != nil && !errors.Is(err, ErrStale) {
-		panic(err)
-	}
-}
-
 // ObserveBatch delivers rows[0:] in order to the given site and returns
-// how many the protocol accepted. Stale rows are dropped and counted (as
-// in Observe) without stopping the batch; the first structural error
+// how many the protocol accepted. Stale rows are dropped and counted (in
+// Metrics) without stopping the batch; the first structural error
 // (ErrSiteRange, ErrDimension, ErrNonFinite) aborts and is returned, with
 // accepted telling how far the batch got: the offending row and those
 // after it are not delivered. Distinguish outcomes on single rows with
@@ -576,8 +559,8 @@ func (t *Tracker) Observe(site int, r Row) {
 // Metrics rather than reported here, so accepted counts the structurally
 // valid rows.
 func (t *Tracker) ObserveBatch(site int, rows []Row) (accepted int, err error) {
-	t.gate.enterShared()
-	defer t.gate.exitShared()
+	t.gate.RLock()
+	defer t.gate.RUnlock()
 	if t.pipe != nil {
 		return t.observeBatchParallel(site, rows)
 	}
@@ -623,21 +606,20 @@ func (t *Tracker) observeBatchParallel(site int, rows []Row) (accepted int, err 
 // end of stream when MaxSkew is set). Rows are merged across sites and
 // delivered in global timestamp order — ties broken by site index, so a
 // flush is deterministic — and rows that fell behind the already-delivered
-// stream are dropped and counted in Metrics().SkewDropped. On a parallel
-// tracker FlushSkew also drains the pipeline (see Drain); feeders must be
-// quiescent.
+// stream are dropped and counted in Metrics().SkewDropped. Like Drain it
+// then publishes a caught-up snapshot; on a parallel tracker it drains
+// the pipeline, and feeders must be quiescent.
 func (t *Tracker) FlushSkew() {
-	if t.pipe != nil {
-		t.gate.exclusive()
-		t.quiesceAt(true)
-		t.gate.exitExclusive()
-		return
+	t.gate.Lock()
+	defer t.gate.Unlock()
+	if t.pipe == nil {
+		t.flushSkewSeq()
 	}
-	if t.skew == nil {
-		return
-	}
-	t.gate.enterShared()
-	defer t.gate.exitShared()
+	t.catchUp(true)
+}
+
+// flushSkewSeq is FlushSkew's sequential merge; the caller holds the gate.
+func (t *Tracker) flushSkewSeq() {
 	type tagged struct {
 		site int
 		r    stream.Row
@@ -659,13 +641,6 @@ func (t *Tracker) FlushSkew() {
 	}
 }
 
-// SkewDropped reports rows rejected for arriving beyond the skew horizon
-// or released too late to deliver in order.
-//
-// Deprecated: the count is part of the regular snapshot as
-// Metrics().SkewDropped; this standalone getter remains as an alias.
-func (t *Tracker) SkewDropped() int64 { return t.skewDropped.Load() }
-
 // Advance moves the global clock forward without new data, processing
 // expirations and any resulting protocol traffic. With MaxSkew set it also
 // commits the clock: buffered rows older than now will be dropped when
@@ -673,8 +648,8 @@ func (t *Tracker) SkewDropped() int64 { return t.skewDropped.Load() }
 // every site's lane (feeders must be quiescent); the expiry work itself
 // runs on the workers and is awaited by the next Drain or query.
 func (t *Tracker) Advance(now int64) {
-	t.gate.enterShared()
-	defer t.gate.exitShared()
+	t.gate.RLock()
+	defer t.gate.RUnlock()
 	if t.pipe != nil {
 		t.pipe.Advance(now)
 		return
@@ -689,37 +664,22 @@ func (t *Tracker) Advance(now int64) {
 	if t.aud != nil {
 		t.aud.Advance(now)
 	}
-	t.snapTick()
 }
 
 // Sketch returns the coordinator's current covariance sketch B. The
 // number of rows varies by protocol; the column count is always D.
 //
-// On a tracker built WithSnapshots, Sketch serves the latest published
-// snapshot — lock-free, safe concurrently with live ingestion from any
-// number of goroutines, at most one publication cadence behind (call
-// Drain first for an exact read; see Snapshot for version metadata).
-//
-// Otherwise Sketch is an exact read: on a parallel tracker it first
-// drains the pipeline, so the sketch reflects every row previously handed
-// to TryObserve (feeders should be quiescent; an overlapping ingest call
-// is waited out, and new ones are held off, rather than raced with).
+// Sketch is an exact read: it briefly holds off ingest (waiting out
+// in-flight calls) to publish a snapshot of the current state, then
+// factors that snapshot outside the gate. On a parallel tracker the
+// catch-up drains the pipeline first, so the sketch reflects every row
+// previously handed to TryObserve; call it from the feeder side. A reader
+// that must never block ingest uses Snapshot instead.
 func (t *Tracker) Sketch() *mat.Dense {
-	if t.snapArmed {
-		s := t.snap.Load()
-		t.countQueryAt(s.deliveredAt)
-		return s.Sketch()
-	}
-	t.gate.exclusive()
-	defer t.gate.exitExclusive()
-	if t.pipe != nil {
-		t.quiesceAt(false)
-	}
-	t.countQuery()
-	sp := t.tracer.StartDetached(trace.OpQuery, -1, t.delivered)
-	b := t.inner.Sketch()
-	sp.End()
-	return b
+	s := t.exactQuery()
+	sp := t.tracer.StartDetached(trace.OpQuery, -1, s.deliveredAt)
+	defer sp.End()
+	return s.Sketch()
 }
 
 // GramSketcher is implemented by trackers whose coordinator state is the
@@ -734,47 +694,23 @@ type GramSketcher interface {
 // directly, when the underlying protocol implements GramSketcher (the
 // deterministic family). Sketch() factors the PSD-clipped Ĉ, an O(d³) step
 // per query that evaluation loops can skip by comparing against Ĉ instead.
-// With WithSnapshots the estimate comes from the latest published snapshot
-// (see Sketch for the concurrency and lag semantics).
+// It is an exact read with the same catch-up as Sketch.
 func (t *Tracker) SketchGram() (*mat.Dense, bool) {
-	if t.snapArmed {
-		s := t.snap.Load()
-		g, ok := s.SketchGram()
-		if !ok {
-			return nil, false
-		}
-		t.countQueryAt(s.deliveredAt)
-		return g, true
+	if _, ok := t.inner.(GramSketcher); !ok {
+		return nil, false
 	}
-	if g, ok := t.inner.(GramSketcher); ok {
-		t.gate.exclusive()
-		defer t.gate.exitExclusive()
-		if t.pipe != nil {
-			t.quiesceAt(false)
-		}
-		t.countQuery()
-		sp := t.tracer.StartDetached(trace.OpQuery, -1, t.delivered)
-		c := g.SketchGram()
-		sp.End()
-		return c, true
-	}
-	return nil, false
+	s := t.exactQuery()
+	sp := t.tracer.StartDetached(trace.OpQuery, -1, s.deliveredAt)
+	defer sp.End()
+	return s.SketchGram()
 }
 
-// countQuery records one coordinator query; it reads maxT, so callers must
-// exclude concurrent ingest (the snapshot path uses countQueryAt instead).
-func (t *Tracker) countQuery() { t.countQueryAt(t.maxT) }
-
-// countQueryAt records one coordinator query stamped at the given
-// watermark; safe from any goroutine.
-func (t *Tracker) countQueryAt(at int64) {
-	t.queries.Inc()
-	if t.sink != nil {
-		if at == math.MinInt64 {
-			at = 0
-		}
-		t.sink.OnEvent(obs.Event{Kind: obs.EvSketchQuery, Site: -1, T: at})
+// clampT maps the "nothing delivered yet" watermark to 0 for event stamps.
+func clampT(at int64) int64 {
+	if at == math.MinInt64 {
+		return 0
 	}
+	return at
 }
 
 // Stats returns the communication and space counters accumulated so far.
@@ -823,8 +759,6 @@ func NewAggregate(cfg Config, opts ...Option) (*AggregateTracker, error) {
 		return nil, fmt.Errorf("%w: NewAggregate cannot run WithTracing", ErrOptionUnsupported)
 	case o.audit != nil:
 		return nil, fmt.Errorf("%w: NewAggregate cannot run WithAudit (the auditor shadows a matrix window)", ErrOptionUnsupported)
-	case o.snapshots:
-		return nil, fmt.Errorf("%w: NewAggregate cannot run WithSnapshots (the scalar estimate is already a single atomic read away)", ErrOptionUnsupported)
 	}
 	ccfg := core.Config{D: 1, W: cfg.W, Eps: cfg.Eps, Sites: cfg.Sites}
 	if err := ccfg.Validate(); err != nil {
@@ -839,11 +773,11 @@ func NewAggregate(cfg Config, opts ...Option) (*AggregateTracker, error) {
 	for i := range lastT {
 		lastT[i] = math.MinInt64
 	}
-	t := &AggregateTracker{inner: inner, net: net, sites: cfg.Sites, lastT: lastT}
 	if o.haveSink {
-		t.SetSink(o.sink)
+		net.SetSink(o.sink)
+		inner.SetSink(o.sink)
 	}
-	return t, nil
+	return &AggregateTracker{inner: inner, net: net, sites: cfg.Sites, lastT: lastT}, nil
 }
 
 // TryObserve records weight w at the given site and time, reporting
@@ -874,16 +808,6 @@ func (t *AggregateTracker) Observe(site int, now int64, w float64) {
 	if err := t.TryObserve(site, now, w); err != nil && !errors.Is(err, ErrStale) {
 		panic(err)
 	}
-}
-
-// SetSink installs an event sink receiving the tracker's message and
-// bucket lifecycle events (nil disables). Install before feeding data.
-//
-// Deprecated: pass WithSink to NewAggregate, which wires the sink before
-// any observation can arrive. SetSink remains for uninstalling.
-func (t *AggregateTracker) SetSink(s Sink) {
-	t.net.SetSink(s)
-	t.inner.SetSink(s)
 }
 
 // Advance moves every site's clock forward; observations older than now

@@ -17,7 +17,7 @@ var (
 	// is in the past: older than the maximum timestamp already observed
 	// (without MaxSkew), or beyond the skew horizon (with MaxSkew). Stale
 	// rows are dropped and counted in Metrics; they are not an invariant
-	// violation, so Observe swallows them rather than panicking.
+	// violation, so ingestion can continue (ObserveBatch skips them).
 	ErrStale = errors.New("distwindow: stale timestamp")
 )
 
@@ -40,15 +40,6 @@ var (
 // WithTracing or WithAudit on NewAggregate, whose scalar tracker has
 // neither a pipeline nor a matrix shadow path. Match with errors.Is.
 var ErrOptionUnsupported = errors.New("distwindow: option unsupported")
-
-// ErrQueryDuringIngest is returned (wrapped, with detail) by
-// Tracker.Snapshot on a tracker built without WithSnapshots when an ingest
-// call is in flight: with no published snapshot to serve, answering would
-// mean reading the coordinator state mid-mutation — the silent data race
-// this error makes loud. Quiesce the feeders and retry, or build the
-// tracker WithSnapshots so queries read published versions instead.
-// Match with errors.Is.
-var ErrQueryDuringIngest = errors.New("distwindow: query during ingest")
 
 // ErrParallelUnsupported is returned (wrapped, with detail) by New when
 // WithParallel is combined with a configuration the pipeline cannot run:

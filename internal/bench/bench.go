@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -135,8 +136,11 @@ func Run(ds datagen.Dataset, proto distwindow.Protocol, eps float64, opt Options
 			site = rng.Intn(sites)
 		}
 		start := time.Now()
-		tr.Observe(site, distwindow.Row{T: e.Row.T, V: e.Row.V})
+		err := tr.TryObserve(site, distwindow.Row{T: e.Row.T, V: e.Row.V})
 		observeTime += time.Since(start)
+		if err != nil && !errors.Is(err, distwindow.ErrStale) {
+			return Result{}, err
+		}
 
 		if !opt.SkipErr {
 			lr := liveRow{t: e.Row.T, v: e.Row.V, sv: mat.ToSparse(e.Row.V, 0.25)}

@@ -55,7 +55,7 @@ type PipelineConfig struct {
 	// also covers the hook: once Drain returns, no PostApply call is in
 	// flight for pre-drain work. The hook must not block for long — it
 	// stalls the apply loop, not ingest — and must not call back into the
-	// pipeline except via Kick.
+	// pipeline.
 	PostApply func(applied int)
 }
 
@@ -504,12 +504,6 @@ func (p *Pipeline) coordinator() {
 		}
 	}
 }
-
-// Kick nudges the coordinator goroutine to run a pass even when no release
-// has signalled new work — used by snapshot readers to force a PostApply
-// publication opportunity while the pipeline is otherwise idle. Safe from
-// any goroutine; never blocks.
-func (p *Pipeline) Kick() { p.kickCoord() }
 
 // leafKey computes a worker's current merge key: the head of its out-ring
 // if an update is waiting, else +inf during a drain once the worker is

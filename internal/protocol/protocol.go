@@ -36,6 +36,8 @@ type Tracker interface {
 	Stats() Stats
 	// Name identifies the protocol in experiment output.
 	Name() string
+	// Snapshotter freezes the coordinator state for lock-free readers.
+	Snapshotter
 }
 
 // Stats aggregates the cost metrics of a protocol run, in words (one word

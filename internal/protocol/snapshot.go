@@ -24,12 +24,13 @@ type CoordSnapshot interface {
 	Gram() (*mat.Dense, bool)
 }
 
-// Snapshotter is implemented by trackers whose coordinator state can be
-// frozen into a CoordSnapshot. SnapshotCoord must be called only from the
+// Snapshotter freezes a tracker's coordinator state into a CoordSnapshot;
+// every Tracker implements it. SnapshotCoord must be called only from the
 // goroutine that owns coordinator applies (the sequential ingest goroutine,
-// or the pipeline's coordinator goroutine via PipelineConfig.PostApply); it
-// copies the small coordinator state (O(d²) for the Gram family) and never
-// mutates the tracker.
+// or the pipeline's coordinator goroutine via PipelineConfig.PostApply), or
+// while that goroutine is held off by a lock it also takes; it copies the
+// small coordinator state (O(d²) for the Gram family) and never mutates
+// the tracker.
 type Snapshotter interface {
 	SnapshotCoord() CoordSnapshot
 }

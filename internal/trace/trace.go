@@ -206,8 +206,11 @@ func (t *Tracer) Enabled() bool { return t != nil && t.every != 0 && t.ring != n
 type Span struct {
 	t *Tracer
 	// rec is the record under construction; parent is the previously open
-	// record, restored as the tracer's current span on End.
+	// record, restored as the tracer's current span on End. chained marks
+	// spans pushed onto that chain (Start, Child); End of any other span
+	// must not read it, because the chain belongs to the ingest goroutine.
 	rec, parent *SpanRec
+	chained     bool
 }
 
 // Sampled reports whether the span is actually being recorded.
@@ -233,7 +236,7 @@ func (t *Tracer) Start(op Op, site int, streamT int64) Span {
 	}
 	prev := t.cur
 	t.cur = rec
-	return Span{t: t, rec: rec, parent: prev}
+	return Span{t: t, rec: rec, parent: prev, chained: true}
 }
 
 // StartDetached opens a sampled root span without touching the tracer's
@@ -296,7 +299,7 @@ func (t *Tracer) Child(op Op, site int, streamT int64) Span {
 	}
 	prev := t.cur
 	t.cur = rec
-	return Span{t: t, rec: rec, parent: prev}
+	return Span{t: t, rec: rec, parent: prev, chained: true}
 }
 
 // Instant records a zero-duration child event under the innermost open
@@ -337,14 +340,15 @@ func (s Span) Context() Context {
 // End closes the span and publishes it to the ring. For spans opened with
 // Start or Child it also pops the tracer's current-span chain; End must
 // therefore be called in LIFO order on those (defer does this naturally).
-// Linked spans (StartLinked) never touch the chain.
+// Linked and detached spans never touch the chain, so they may end on any
+// goroutine.
 func (s Span) End() {
 	if s.rec == nil {
 		return
 	}
 	s.rec.DurNs = time.Now().UnixNano() - s.rec.StartNs
 	if s.t != nil {
-		if s.t.cur == s.rec {
+		if s.chained && s.t.cur == s.rec {
 			s.t.cur = s.parent
 		}
 		s.t.ring.push(s.rec)

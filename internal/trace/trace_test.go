@@ -196,6 +196,35 @@ func TestRingConcurrentTracers(t *testing.T) {
 	}
 }
 
+// TestDetachedSpansLeaveTheChainAlone pins that detached spans (queries)
+// may open and end on another goroutine while the tracer's owner runs
+// chained spans: under -race, an End that read the owner's current-span
+// chain would be reported.
+func TestDetachedSpansLeaveTheChainAlone(t *testing.T) {
+	ring := NewRing(256)
+	tr := New(ring, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			tr.StartDetached(OpQuery, -1, int64(i)).End()
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		root := tr.Start(OpIngest, 0, int64(i))
+		tr.Child(OpSend, 0, int64(i)).End()
+		root.End()
+	}
+	wg.Wait()
+	if tr.cur != nil {
+		t.Fatal("current-span chain not empty after every chained span ended")
+	}
+	if got := ring.Recorded(); got != 1500 {
+		t.Fatalf("Recorded = %d, want 1500", got)
+	}
+}
+
 // TestChromeTraceFormat pins the export to the Chrome trace-event JSON
 // contract: an object with a traceEvents array whose members carry name,
 // ph, ts, pid and tid, with X events carrying durations and i events a

@@ -193,8 +193,20 @@ func TestHandleConnAcksSequencedFrames(t *testing.T) {
 			t.Fatalf("ack %d carries seq %d", i, a.Seq)
 		}
 	}
-	if cm := coord.Metrics(); cm.AckedMsgs != 3 {
-		t.Fatalf("AckedMsgs = %d, want 3", cm.AckedMsgs)
+	waitAcked(t, coord, 3)
+}
+
+// waitAcked waits for the coordinator's ack counter to reach want, then
+// asserts it is exactly want. The counter is bumped only after an ack's
+// write returns, so a client holding the ack can read it before the bump.
+func waitAcked(t *testing.T, coord *Coordinator, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for coord.Metrics().AckedMsgs < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := coord.Metrics().AckedMsgs; got != want {
+		t.Fatalf("AckedMsgs = %d, want %d", got, want)
 	}
 }
 

@@ -260,9 +260,7 @@ func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 			t.Fatalf("ack %d = %+v", i, a)
 		}
 	}
-	if cm := coord.Metrics(); cm.AckedMsgs != 3 {
-		t.Fatalf("AckedMsgs = %d, want 3", cm.AckedMsgs)
-	}
+	waitAcked(t, coord, 3)
 	if got := coord.SumOf("s"); got != 3 {
 		t.Fatalf("SumOf(s) = %v, want 3", got)
 	}

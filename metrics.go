@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 
-	"distwindow/internal/core"
 	"distwindow/internal/obs"
 	"distwindow/internal/obs/telemetry"
 	"distwindow/internal/protocol"
@@ -12,8 +11,8 @@ import (
 
 // The observability vocabulary is defined in the internal obs package and
 // re-exported here so callers never import internals. A Sink receives one
-// typed Event per internal occurrence; install it with Tracker.SetSink.
-// The default (no sink) costs one nil-check per hook site.
+// typed Event per internal occurrence; install it with WithSink. The
+// default (no sink) costs one nil-check per hook site.
 type (
 	// Sink receives internal events. Implementations must be fast and must
 	// not call back into the tracker; they may be invoked from the ingest
@@ -86,16 +85,17 @@ type Metrics struct {
 	Net Stats
 	// Sites is the per-site communication breakdown, indexed by site.
 	Sites []SiteStats
-	// Audit is the live ε-error auditor's snapshot; nil unless
-	// Tracker.EnableAudit was called.
+	// Audit is the live ε-error auditor's snapshot; nil unless the
+	// tracker was built WithAudit.
 	Audit *AuditMetrics `json:",omitempty"`
 	// TraceSpans is the number of causal-trace spans recorded so far
-	// (0 unless Tracker.EnableTracing was called).
+	// (0 unless the tracker was built WithTracing).
 	TraceSpans int64 `json:",omitempty"`
-	// SnapshotVersion is the latest published snapshot's version; 0 when
-	// no snapshot has been published (see WithSnapshots).
+	// SnapshotVersion is the latest published snapshot's version (≥1;
+	// version 1 is published at construction).
 	SnapshotVersion uint64 `json:",omitempty"`
-	// SnapshotPublishes counts snapshot publications.
+	// SnapshotPublishes counts snapshot publications, the one at
+	// construction included.
 	SnapshotPublishes int64 `json:",omitempty"`
 	// SnapshotLagRows is the number of rows delivered since the latest
 	// snapshot was taken — the read path's staleness in rows (approximate
@@ -122,37 +122,20 @@ func (t *Tracker) Metrics() Metrics {
 		am := t.aud.Metrics()
 		m.Audit = &am
 	}
-	if s := t.snap.Load(); s != nil {
-		m.SnapshotVersion = s.version
-		m.SnapshotPublishes = t.snapPubs.Load()
-		if lag := m.Rows - s.rows; lag > 0 {
-			m.SnapshotLagRows = lag
-		}
+	s := t.snap.Load()
+	m.SnapshotVersion = s.version
+	m.SnapshotPublishes = int64(s.version) // versions count publications from 1
+	if lag := m.Rows - s.rows; lag > 0 {
+		m.SnapshotLagRows = lag
 	}
 	return m
-}
-
-// SetSink installs an event sink receiving the tracker's typed events:
-// message traffic, bucket lifecycle, skew drops, sketch queries and
-// threshold renegotiations (nil uninstalls). Install it before feeding
-// data — the sink fields are read without synchronization on the hot path.
-//
-// Deprecated: pass WithSink to New, which wires the sink before any row
-// can arrive. SetSink remains for trackers rebuilt via Restore and for
-// uninstalling.
-func (t *Tracker) SetSink(s Sink) {
-	t.sink = s
-	t.net.SetSink(s)
-	if ss, ok := t.inner.(core.SinkSetter); ok {
-		ss.SetSink(s)
-	}
 }
 
 // MetricsHandler returns an http.Handler serving the tracker's snapshot:
 // GET /metrics (JSON Metrics by default; the Prometheus text exposition
 // when the request's Accept header prefers text/plain or ?format=prom
 // asks for it), GET /healthz, and expvar under /debug/vars.
-// When tracing or auditing is enabled (EnableTracing, EnableAudit) it also
+// When tracing or auditing is enabled (WithTracing, WithAudit) it also
 // mounts /debug/trace (Chrome trace-event JSON) and /debug/audit (SVG
 // error panel); further endpoints can be added with options (WithPprof,
 // WithHandler). Mount it on any mux; the handler snapshots atomically, so
@@ -190,11 +173,9 @@ func (t *Tracker) WritePrometheusTo(w io.Writer) error {
 	pw.Counter("distwindow_words_down_total", "Words sent from the coordinator to sites.", ls, float64(m.Net.WordsDown))
 	pw.Gauge("distwindow_max_site_words", "Maximum words of state held by any site.", ls, float64(m.Net.MaxSiteWords))
 	pw.Histogram("distwindow_update_latency_seconds", "Sampled per-row update latency.", ls, m.UpdateLatency)
-	if m.SnapshotVersion > 0 {
-		pw.Gauge("distwindow_snapshot_version", "Latest published sketch snapshot version.", ls, float64(m.SnapshotVersion))
-		pw.Counter("distwindow_snapshot_publishes_total", "Sketch snapshot publications.", ls, float64(m.SnapshotPublishes))
-		pw.Gauge("distwindow_snapshot_lag_rows", "Rows delivered since the latest snapshot.", ls, float64(m.SnapshotLagRows))
-	}
+	pw.Gauge("distwindow_snapshot_version", "Latest published sketch snapshot version.", ls, float64(m.SnapshotVersion))
+	pw.Counter("distwindow_snapshot_publishes_total", "Sketch snapshot publications.", ls, float64(m.SnapshotPublishes))
+	pw.Gauge("distwindow_snapshot_lag_rows", "Rows delivered since the latest snapshot.", ls, float64(m.SnapshotLagRows))
 	if m.Audit != nil {
 		pw.Gauge("distwindow_epsilon", "Configured error budget ε.", ls, m.Audit.Eps)
 		pw.Gauge("distwindow_epsilon_error", "Latest audited covariance error.", ls, m.Audit.LastErr)

@@ -100,23 +100,12 @@ func TestTryObserveErrorPaths(t *testing.T) {
 	}
 }
 
-func TestObservePanicsOnlyOnCallerBugs(t *testing.T) {
+func TestStaleRowsDroppedAndCounted(t *testing.T) {
 	tr, _ := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 1})
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("site", func() { tr.Observe(5, Row{T: 1, V: []float64{1, 0}}) })
-	mustPanic("dim", func() { tr.Observe(0, Row{T: 1, V: []float64{1}}) })
 
-	// Stale rows are dropped silently but counted.
-	tr.Observe(0, Row{T: 10, V: []float64{1, 0}})
-	tr.Observe(0, Row{T: 5, V: []float64{1, 0}}) // must not panic
+	// Stale rows are dropped but counted.
+	observe(t, tr, 0, Row{T: 10, V: []float64{1, 0}})
+	observe(t, tr, 0, Row{T: 5, V: []float64{1, 0}})
 	if got := tr.Metrics().StaleDrops; got != 1 {
 		t.Fatalf("StaleDrops = %d, want 1", got)
 	}
@@ -184,10 +173,10 @@ func TestObserveDoesNotRetainRow(t *testing.T) {
 			for i := int64(1); i <= 400; i++ {
 				v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 				site := int(i) % 2
-				ref.Observe(site, Row{T: i, V: v})
+				observe(t, ref, site, Row{T: i, V: v})
 
 				copy(scratch, v)
-				reuse.Observe(site, Row{T: i, V: scratch})
+				observe(t, reuse, site, Row{T: i, V: scratch})
 				// Clobber the buffer the way a reader loop would.
 				scratch[0], scratch[1], scratch[2] = -1e9, 1e9, -1e9
 			}
@@ -213,6 +202,10 @@ func (r *recordingTracker) Sketch() *mat.Dense    { return mat.NewDense(0, 1) }
 func (r *recordingTracker) Stats() protocol.Stats { return protocol.Stats{} }
 func (r *recordingTracker) Name() string          { return "recorder" }
 
+// The recorder is its own (empty) coordinator snapshot.
+func (r *recordingTracker) SnapshotCoord() protocol.CoordSnapshot { return r }
+func (r *recordingTracker) Gram() (*mat.Dense, bool)              { return nil, false }
+
 func TestFlushSkewGlobalOrder(t *testing.T) {
 	tr, err := New(Config{Protocol: DA1, D: 1, W: 1000, Eps: 0.2, Sites: 3, MaxSkew: 100})
 	if err != nil {
@@ -223,11 +216,11 @@ func TestFlushSkewGlobalOrder(t *testing.T) {
 
 	// Interleave buffered rows across sites so a per-site flush would
 	// deliver out of global order: site 2 holds the oldest rows.
-	tr.Observe(2, Row{T: 5, V: []float64{1}})
-	tr.Observe(0, Row{T: 20, V: []float64{1}})
-	tr.Observe(1, Row{T: 10, V: []float64{1}})
-	tr.Observe(0, Row{T: 30, V: []float64{1}})
-	tr.Observe(1, Row{T: 10, V: []float64{1}}) // tie with site 1's first row
+	observe(t, tr, 2, Row{T: 5, V: []float64{1}})
+	observe(t, tr, 0, Row{T: 20, V: []float64{1}})
+	observe(t, tr, 1, Row{T: 10, V: []float64{1}})
+	observe(t, tr, 0, Row{T: 30, V: []float64{1}})
+	observe(t, tr, 1, Row{T: 10, V: []float64{1}}) // tie with site 1's first row
 	if len(rec.ts) != 0 {
 		t.Fatalf("rows released early: %v", rec.ts)
 	}
@@ -244,8 +237,8 @@ func TestFlushSkewGlobalOrder(t *testing.T) {
 				i, rec.sites[i], rec.ts[i], wantSites[i], wantTs[i])
 		}
 	}
-	if tr.SkewDropped() != 0 {
-		t.Fatalf("SkewDropped = %d, want 0", tr.SkewDropped())
+	if tr.Metrics().SkewDropped != 0 {
+		t.Fatalf("SkewDropped = %d, want 0", tr.Metrics().SkewDropped)
 	}
 }
 
@@ -260,13 +253,13 @@ func TestFlushSkewDropsRowsBehindDeliveredClock(t *testing.T) {
 	// Site 0 races ahead: its T=100 arrival releases rows up to T=90 and
 	// commits the delivered clock there. Site 1's buffered T=50 row is
 	// within its own skew bound but behind the global stream by flush time.
-	tr.Observe(1, Row{T: 50, V: []float64{1}})
-	tr.Observe(0, Row{T: 80, V: []float64{1}})
-	tr.Observe(0, Row{T: 100, V: []float64{1}}) // releases T=80, delivered=80
+	observe(t, tr, 1, Row{T: 50, V: []float64{1}})
+	observe(t, tr, 0, Row{T: 80, V: []float64{1}})
+	observe(t, tr, 0, Row{T: 100, V: []float64{1}}) // releases T=80, delivered=80
 
 	tr.FlushSkew()
-	if tr.SkewDropped() != 1 {
-		t.Fatalf("SkewDropped = %d, want 1 (site 1's T=50 fell behind)", tr.SkewDropped())
+	if tr.Metrics().SkewDropped != 1 {
+		t.Fatalf("SkewDropped = %d, want 1 (site 1's T=50 fell behind)", tr.Metrics().SkewDropped)
 	}
 	for _, ts := range rec.ts {
 		if ts == 50 {
@@ -282,16 +275,15 @@ func TestFlushSkewDropsRowsBehindDeliveredClock(t *testing.T) {
 }
 
 func TestMetricsAndSink(t *testing.T) {
-	tr, err := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 2})
+	var sink CountingSink
+	tr, err := New(Config{Protocol: DA1, D: 2, W: 100, Eps: 0.2, Sites: 2}, WithSink(&sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink CountingSink
-	tr.SetSink(&sink)
 
 	rng := rand.New(rand.NewSource(3))
 	for i := int64(1); i <= 200; i++ {
-		tr.Observe(int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64()}})
+		observe(t, tr, int(i)%2, Row{T: i, V: []float64{rng.NormFloat64(), rng.NormFloat64()}})
 	}
 	tr.Sketch()
 

@@ -4,15 +4,16 @@ import "distwindow/internal/core"
 
 // options collects the construction-time settings applied by New.
 type options struct {
-	parallel  bool
-	workers   int
-	ringSize  int
-	sink      Sink
-	haveSink  bool
-	tracing   *TraceConfig
-	audit     *AuditConfig
-	snapshots bool
-	snapEvery int
+	parallel bool
+	workers  int
+	ringSize int
+	sink     Sink
+	haveSink bool
+	tracing  *TraceConfig
+	audit    *AuditConfig
+	// publishEvery overrides the parallel coordinator's publication
+	// cadence; set only by tests (withPublishEvery).
+	publishEvery int
 	// pools shares workspace/mEH storage across trackers; set only by the
 	// Registry (withPools) — sharing is an ownership contract the registry
 	// manages, not something callers opt into per tracker.
@@ -30,6 +31,14 @@ func buildOptions(opts []Option) *options {
 	return o
 }
 
+// withPublishEvery sets the parallel coordinator's publication cadence in
+// applied updates (≤0 means the default, 256). Unexported: the cadence is
+// an implementation detail that tests tighten to make soaks see more
+// versions.
+func withPublishEvery(n int) Option {
+	return func(o *options) { o.publishEvery = n }
+}
+
 // withPools attaches the registry's shared storage pools. Unexported: the
 // Registry owns pool lifecycle (Evict donates a tracker's storage back),
 // and a pool shared wider than its owner could reuse buffers while a
@@ -39,12 +48,11 @@ func withPools(p core.Pools) Option {
 }
 
 // Option configures a Tracker at construction. Options are applied by New
-// in the order given; later options override earlier ones. Installing
-// observability through options (WithSink, WithTracing, WithAudit) is
-// preferred over the post-hoc setters because the tracker is fully wired
-// before the first row arrives — there is no window in which traffic goes
-// unobserved, and no unsynchronized field write after ingestion may have
-// started.
+// in the order given; later options override earlier ones. Observability
+// (WithSink, WithTracing, WithAudit) is installed only through options, so
+// the tracker is fully wired before the first row arrives — there is no
+// window in which traffic goes unobserved, and no field write after
+// ingestion may have started.
 type Option func(*options)
 
 // WithParallel runs ingestion through the per-site pipeline: each site's
@@ -63,8 +71,11 @@ type Option func(*options)
 // In parallel mode each site must be fed by at most one goroutine (see
 // the Tracker concurrency contract), per-site rather than global timestamp
 // ordering is enforced, and stale rows are counted in Metrics instead of
-// being returned as errors from TryObserve. Call Drain (or any query) to
-// synchronize, and Close when done to stop the goroutines.
+// being returned as errors from TryObserve. Call Drain (or an exact query,
+// Sketch or SketchGram) to synchronize, and Close when done to stop the
+// goroutines. The pipeline's coordinator goroutine also publishes a
+// snapshot every 256 applied updates, so Snapshot readers see progress
+// while the feeders run.
 func WithParallel(workers int) Option {
 	return func(o *options) {
 		o.parallel = true
@@ -81,33 +92,21 @@ func WithRingSize(n int) Option {
 	return func(o *options) { o.ringSize = n }
 }
 
-// WithSnapshots arms the lock-free published-snapshot read path: the
-// tracker publishes an immutable, versioned copy of its coordinator state
-// at construction and every `every` events thereafter (sequential mode:
-// delivered rows and clock advances; parallel mode: updates applied at the
-// coordinator — passes that apply nothing publish nothing, because the
-// state cannot have changed). ≤0 means the default cadence, 256.
+// WithSnapshots is a no-op: every tracker publishes snapshots, so
+// Snapshot is always a lock-free read of the latest published version and
+// Sketch/SketchGram are always exact (see Tracker).
 //
-// On an armed tracker, Sketch, SketchGram, Snapshot, SnapshotVersion and
-// the analytics derived from Snapshot read the latest published version
-// without locks — safe from any number of goroutines concurrently with
-// live ingestion, at most one cadence behind it. Drain publishes a fresh
-// snapshot, so Drain-then-query is exact. Each publication copies the
-// small coordinator state (O(d²) for the deterministic family), amortized
-// across the cadence; sinks installed alongside snapshots may be invoked
-// from the publishing goroutine and must be safe for concurrent use in
-// parallel mode.
-func WithSnapshots(every int) Option {
-	return func(o *options) {
-		o.snapshots = true
-		o.snapEvery = every
-	}
-}
+// Deprecated: drop the option; publication is unconditional.
+func WithSnapshots(every int) Option { return nil }
 
-// WithSink installs an event sink from the start (see Tracker.SetSink for
-// the event vocabulary). With WithParallel the sink is invoked from
-// multiple worker goroutines and must be safe for concurrent use
-// (CountingSink and other atomic sinks qualify).
+// WithSink installs an event sink receiving the tracker's typed events:
+// message traffic, bucket lifecycle, skew drops, sketch queries, snapshot
+// publications and threshold renegotiations. Sketch queries, and the
+// snapshot publications exact reads trigger, are reported from the
+// querying goroutine, under the gate that holds off ingest. With
+// WithParallel the sink is also invoked from the worker and coordinator
+// goroutines and must be safe for concurrent use (CountingSink and other
+// atomic sinks qualify).
 func WithSink(s Sink) Option {
 	return func(o *options) {
 		o.sink = s
@@ -115,14 +114,29 @@ func WithSink(s Sink) Option {
 	}
 }
 
-// WithTracing enables causal tracing from the start (see
-// Tracker.EnableTracing). Incompatible with WithParallel.
+// WithTracing installs span-based causal tracing: each sampled row's
+// journey (ingest → bucket create/merge/expire → send → recv → query) is
+// recorded into a bounded lock-free ring and exportable as Chrome
+// trace-event JSON via TraceChrome or the /debug/trace endpoint mounted
+// by MetricsHandler. SampleEvery ≤ 0 leaves tracing off, which costs one
+// nil-check per hook site. Live tracing is incompatible with WithParallel:
+// New fails with ErrParallelUnsupported.
 func WithTracing(cfg TraceConfig) Option {
 	return func(o *options) { o.tracing = &cfg }
 }
 
-// WithAudit enables the live ε-error auditor from the start (see
-// Tracker.EnableAudit). Incompatible with WithParallel.
+// WithAudit installs a live ε-error auditor: a shadow path keeping the
+// exact windowed covariance next to the protocol and periodically
+// measuring the observed err(A_w, B) against the configured ε, together
+// with the communication spent per window. Results surface through
+// Metrics().Audit, AuditSamples, and the /debug/audit SVG panel mounted
+// by MetricsHandler.
+//
+// The shadow window costs O(window·d) memory and an O(d²) Gram update per
+// row — the very costs the protocols exist to avoid — so enable it on
+// canaries and soak tests, not on every production instance. Incompatible
+// with WithParallel (the shadow path rides the sequential ingest hook):
+// New fails with ErrParallelUnsupported.
 func WithAudit(cfg AuditConfig) Option {
 	return func(o *options) { o.audit = &cfg }
 }

@@ -135,8 +135,9 @@ func (t *Tracker) dropEvent(site int, tt int64) {
 
 // startParallel wires the ingestion pipeline under the facade; New calls it
 // after applying the other options so the compatibility checks see the
-// final configuration.
-func (t *Tracker) startParallel(workers, ringSize int) error {
+// final configuration. every overrides the coordinator's publication
+// cadence (≤0 means publishEvery).
+func (t *Tracker) startParallel(workers, ringSize, every int) error {
 	if t.tracer != nil || t.aud != nil {
 		return fmt.Errorf("%w: tracing and auditing require the sequential path", ErrParallelUnsupported)
 	}
@@ -157,26 +158,27 @@ func (t *Tracker) startParallel(workers, ringSize int) error {
 		t.lastAppliedT = u.T
 		ow.Apply(u)
 	}
-	pcfg := protocol.PipelineConfig{Workers: workers, RingSize: ringSize}
-	if t.snapArmed {
-		// Publish from the coordinator goroutine, the only place the
-		// coordinator state is whole between applies. Cadence counts
-		// applied updates: a pass that applies nothing leaves the state —
-		// and therefore the latest snapshot — unchanged, so idle passes
-		// return without copying anything. since is coordinator-local; the
-		// facade's drain-time publications are barrier-separated from it.
-		var since int
-		pcfg.PostApply = func(applied int) {
-			if applied == 0 {
-				return
-			}
-			since += applied
-			if since >= t.snapEvery {
-				since = 0
-				t.publishAt(t.lastAppliedT)
-			}
+	if every <= 0 {
+		every = publishEvery
+	}
+	// Publish from the coordinator goroutine, the only place the
+	// coordinator state is whole between applies. Cadence counts applied
+	// updates: a pass that applies nothing leaves the state — and therefore
+	// the latest snapshot — unchanged, so idle passes return without
+	// copying anything. since is coordinator-local; the facade's drain-time
+	// publications are barrier-separated from it.
+	var since int
+	postApply := func(applied int) {
+		if applied == 0 {
+			return
+		}
+		since += applied
+		if since >= every {
+			since = 0
+			t.publishAt(t.lastAppliedT)
 		}
 	}
+	pcfg := protocol.PipelineConfig{Workers: workers, RingSize: ringSize, PostApply: postApply}
 	t.pipe = protocol.NewPipeline(t.cfg.Sites, laneHandler{t}, apply, pcfg)
 	return nil
 }
@@ -194,71 +196,35 @@ func (t *Tracker) ParallelWorkers() int {
 }
 
 // Drain blocks until every row already handed to TryObserve has been
-// processed by its site and applied at the coordinator. Afterwards Sketch,
-// SketchGram, Metrics and Stats reflect all prior input; with WithSnapshots
-// a fresh, fully-caught-up snapshot is published before Drain returns, so
-// "Drain then query" is exact even on the snapshot path. Drain must not run
-// concurrently with observe calls in parallel mode (quiesce the feeders
-// first); on a sequential tracker it only refreshes the snapshot — every
-// ingest call is already synchronous.
+// processed by its site and applied at the coordinator, then publishes a
+// caught-up snapshot, so Snapshot, Metrics and Stats reflect all prior
+// input when Drain returns. Drain must not run concurrently with observe
+// calls in parallel mode (quiesce the feeders first); on a sequential
+// tracker every ingest call is already synchronous, and Drain only
+// publishes — when rows or the clock moved since the current version.
 func (t *Tracker) Drain() {
-	t.gate.exclusive()
-	defer t.gate.exitExclusive()
-	if t.pipe != nil {
-		t.quiesceAt(false)
-		return
-	}
-	if t.snapArmed && (t.snapSince > 0 || t.snap.Load() == nil) {
-		t.publishAt(t.delivered)
-	}
+	t.gate.Lock()
+	defer t.gate.Unlock()
+	t.catchUp(false)
 }
 
-// Close stops the pipeline goroutines after a drain. The tracker's queries,
-// metrics and previously returned snapshots remain usable afterwards, but
-// no further rows may be observed. Close is idempotent; on a sequential
-// tracker it only marks the tracker closed (see Closed) and publishes a
-// final snapshot when one is pending.
+// Close publishes a final caught-up snapshot and stops the pipeline
+// goroutines. The tracker's queries, metrics and previously returned
+// snapshots remain usable afterwards, but no further rows may be observed.
+// Close is idempotent; on a sequential tracker it only publishes and marks
+// the tracker closed (see Closed).
 func (t *Tracker) Close() {
 	if t.closed.Load() {
 		return
 	}
-	t.gate.exclusive()
-	defer t.gate.exitExclusive()
+	t.gate.Lock()
+	defer t.gate.Unlock()
 	if t.closed.Load() {
 		return
 	}
+	t.catchUp(false)
 	if t.pipe != nil {
-		t.quiesceAt(false)
 		t.pipe.Close()
-	} else if t.snapArmed && t.snapSince > 0 {
-		t.publishAt(t.delivered)
 	}
 	t.closed.Store(true)
-}
-
-// quiesceAt drains the pipeline and settles coordinator-side state: the
-// coordinator clock catches up to the sites' emission floor (a no-op for
-// the clock-free protocols), the bucket gauge is refreshed — the parallel
-// counterparts of deliver's slow-path upkeep — and, with WithSnapshots, a
-// fresh snapshot of the fully-applied state is published. It returns the
-// coordinator's watermark. Callers must hold the gate exclusively: that
-// keeps feeders out, and after the drain barrier the coordinator goroutine
-// can only run empty passes (which touch no state), so reading and
-// snapshotting the coordinator from this goroutine is safe.
-func (t *Tracker) quiesceAt(flush bool) int64 {
-	t.pipe.Drain(flush)
-	at := t.lastAppliedT
-	if mp := t.pipe.MinProgress(); mp != math.MinInt64 {
-		t.ow.AdvanceCoord(mp)
-		if mp > at {
-			at = mp
-		}
-	}
-	if t.buckets != nil {
-		t.liveBuckets.Set(int64(t.buckets.LiveBuckets()))
-	}
-	if t.snapArmed {
-		t.publishAt(at)
-	}
-	return at
 }

@@ -306,10 +306,8 @@ func (r *Registry) WritePrometheusTo(w io.Writer) error {
 		pw.Counter("distwindow_stream_rows_total", "Rows delivered into the stream's protocol.", ls, float64(sm.Rows))
 		pw.Counter("distwindow_stream_words_up_total", "Stream words sent from sites to the coordinator.", ls, float64(sm.Net.WordsUp))
 		pw.Histogram("distwindow_stream_update_latency_seconds", "Sampled per-row update latency.", ls, sm.UpdateLatency)
-		if sm.SnapshotVersion > 0 {
-			pw.Gauge("distwindow_stream_snapshot_version", "Latest published sketch snapshot version.", ls, float64(sm.SnapshotVersion))
-			pw.Gauge("distwindow_stream_snapshot_lag_rows", "Rows delivered since the latest snapshot.", ls, float64(sm.SnapshotLagRows))
-		}
+		pw.Gauge("distwindow_stream_snapshot_version", "Latest published sketch snapshot version.", ls, float64(sm.SnapshotVersion))
+		pw.Gauge("distwindow_stream_snapshot_lag_rows", "Rows delivered since the latest snapshot.", ls, float64(sm.SnapshotLagRows))
 		return true
 	})
 	return pw.Err()

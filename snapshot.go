@@ -1,85 +1,36 @@
 package distwindow
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"distwindow/internal/obs"
 	"distwindow/internal/protocol"
 	"distwindow/mat"
 )
 
-// This file holds the lock-free published-snapshot read path: immutable,
-// versioned copies of the coordinator's small state, swapped in via an
-// atomic pointer, so queries never contend with ingest.
+// This file holds the one query path: immutable, versioned copies of the
+// coordinator's small state, swapped in via an atomic pointer, so every
+// read is a read of a published version and never touches live state.
 //
-// Arming (WithSnapshots) publishes version 1 at construction, so an armed
-// tracker always has a snapshot to serve: Sketch, SketchGram, Snapshot and
-// the analytics derived from them become pure reads of the latest
-// published version, safe from any number of goroutines while ingestion
-// runs. Publication happens on the goroutine that owns coordinator applies
-// (the ingest goroutine sequentially, the pipeline's coordinator goroutine
-// in parallel mode), every snapEvery events, plus at every drain point —
-// Drain, FlushSkew, Close — so "Drain then query" reads an exact,
-// fully-caught-up state.
+// Every tracker publishes version 1 at construction, so a reader never
+// finds "no snapshot yet". After that a version is published
 //
-// Unarmed trackers keep the legacy exact read path, hardened: a queryGate
-// detects (and excludes) in-flight ingest instead of silently racing with
-// it.
+//   - at every drain point (Drain, FlushSkew, Close) and every exact read
+//     (Sketch, SketchGram), under the exclusive gate, when the state moved
+//     since the current version;
+//   - on a parallel tracker, also by the pipeline's coordinator goroutine
+//     every publishEvery applied updates, because its feeders have no
+//     consistent point to stop at mid-stream.
+//
+// The sequential ingest path publishes nothing per row: a copy per 256
+// rows cost PWOR half its ingest rate. Lock-free readers of a sequential
+// tracker therefore see the state as of the last drain or exact read.
 
-// defaultSnapEvery is the publication cadence when WithSnapshots(0) asks
-// for the default: one publish per 256 events (sequential: delivered rows
-// and clock advances; parallel: applied coordinator updates). The d×d copy
-// a publish performs is amortized to a few floats per event.
-const defaultSnapEvery = 256
-
-// queryGate coordinates exact coordinator reads with ingestion. It is a
-// tiny reader-writer try-lock over one atomic word: ≥0 counts in-flight
-// ingest operations (shared holders), −1 marks an exclusive holder (an
-// exact query, a drain, or Close). Armed snapshot reads never touch the
-// gate — they only load the published pointer.
-type queryGate struct{ state atomic.Int64 }
-
-func (g *queryGate) enterShared() {
-	for i := 0; ; i++ {
-		v := g.state.Load()
-		if v >= 0 && g.state.CompareAndSwap(v, v+1) {
-			return
-		}
-		gateBackoff(i)
-	}
-}
-
-func (g *queryGate) exitShared() { g.state.Add(-1) }
-
-// tryExclusive claims the gate iff no ingest call (and no other exclusive
-// holder) is in flight.
-func (g *queryGate) tryExclusive() bool { return g.state.CompareAndSwap(0, -1) }
-
-// exclusive blocks until the gate is free, then claims it. In-flight
-// ingest calls finish; new ones spin in enterShared until release.
-func (g *queryGate) exclusive() {
-	for i := 0; !g.tryExclusive(); i++ {
-		gateBackoff(i)
-	}
-}
-
-func (g *queryGate) exitExclusive() { g.state.Store(0) }
-
-// gateBackoff yields briefly, then backs off to short sleeps; gate waits
-// are bounded by in-flight calls (shared sections never block on the gate,
-// exclusive sections are a drain plus an O(d²) copy).
-func gateBackoff(i int) {
-	if i < 100 {
-		runtime.Gosched()
-	} else {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
+// publishEvery is the parallel coordinator's publication cadence in
+// applied updates. The d×d copy a publish performs is amortized to a few
+// floats per update.
+const publishEvery = 256
 
 // Snapshot is one immutable published version of the coordinator's sketch
 // state. All methods are safe for concurrent use by any number of
@@ -104,8 +55,8 @@ type Snapshot struct {
 }
 
 // Version is the snapshot's publication sequence number, starting at 1
-// (the empty state published when snapshots are armed). Versions increase
-// by exactly 1 per publication.
+// (the state published at construction). Versions increase by exactly 1
+// per publication.
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // DeliveredAt is the stream timestamp watermark the snapshot reflects: the
@@ -198,103 +149,86 @@ func (s *Snapshot) pcaLocked(k int) PCA {
 	return p
 }
 
-// armSnapshots turns on snapshot publication and publishes version 1 (the
-// tracker's pre-traffic state), so the read path never observes "no
-// snapshot yet". Called by applyOptions before the parallel pipeline
-// starts, so the coordinator goroutine inherits the armed state.
-func (t *Tracker) armSnapshots(every int) error {
-	sn, ok := t.inner.(protocol.Snapshotter)
-	if !ok {
-		return fmt.Errorf("%w: protocol %s cannot publish coordinator snapshots", ErrOptionUnsupported, t.inner.Name())
-	}
-	if every <= 0 {
-		every = defaultSnapEvery
-	}
-	t.snapper, t.snapEvery, t.snapArmed = sn, every, true
-	t.publishAt(math.MinInt64)
-	return nil
-}
-
 // publishAt freezes the coordinator state into a new snapshot version and
-// swaps it in. It must run on the goroutine that owns coordinator applies
-// (or with that goroutine provably idle: after a drain barrier with the
-// gate held exclusively).
+// swaps it in. It must run on the goroutine that owns coordinator applies,
+// or with that goroutine provably idle: during construction, or under the
+// exclusive gate (after a drain barrier, on a parallel tracker).
 func (t *Tracker) publishAt(at int64) {
 	s := &Snapshot{
 		version:     t.snapVer.Add(1),
 		deliveredAt: at,
 		rows:        t.rows.Load(),
 		proto:       t.inner.Name(),
-		coord:       t.snapper.SnapshotCoord(),
+		coord:       t.inner.SnapshotCoord(),
 	}
 	t.snap.Store(s)
-	t.snapPubs.Inc()
-	t.snapSince = 0
 	if t.sink != nil {
-		evAt := at
-		if evAt == math.MinInt64 {
-			evAt = 0
-		}
-		t.sink.OnEvent(obs.Event{Kind: obs.EvSnapshotPublish, Site: -1, T: evAt, N: int(s.version)})
+		t.sink.OnEvent(obs.Event{Kind: obs.EvSnapshotPublish, Site: -1, T: clampT(at), N: int(s.version)})
 	}
 }
 
-// snapTick advances the sequential publication cadence by one event
-// (a delivered row or a clock advance); ingest goroutine only.
-func (t *Tracker) snapTick() {
-	if !t.snapArmed {
-		return
-	}
-	t.snapSince++
-	if t.snapSince >= t.snapEvery {
-		t.publishAt(t.delivered)
-	}
-}
-
-// Snapshot returns an immutable, versioned view of the coordinator state.
+// catchUp brings the published snapshot level with the live coordinator
+// state and returns it; flush also empties a parallel tracker's skew
+// buffers. The caller holds the gate exclusively, so no ingest call is in
+// flight.
 //
-// On a tracker built WithSnapshots it returns the latest published version
-// without taking any lock — safe from any goroutine while ingestion runs,
-// lagging live ingest by at most the publication cadence (call Drain first
-// for an exact, fully-caught-up version). On other trackers it takes a
-// one-off exact snapshot when no ingest call is in flight — briefly
-// excluding new ones — and fails with ErrQueryDuringIngest otherwise,
-// making the un-quiesced query a loud error instead of a data race.
-func (t *Tracker) Snapshot() (*Snapshot, error) {
-	if t.snapArmed {
-		return t.snap.Load(), nil
+// A sequential tracker publishes only when rows or the delivered
+// watermark moved since the current version: those are the only ways its
+// coordinator state changes. A parallel tracker drains the pipeline — after
+// the barrier its coordinator goroutine can only run empty passes, which
+// touch no state — then lets the coordinator clock catch up to the sites'
+// emission floor (a no-op for the clock-free protocols), refreshes the
+// bucket gauge and publishes the fully-applied state.
+func (t *Tracker) catchUp(flush bool) *Snapshot {
+	if t.pipe == nil {
+		if s := t.snap.Load(); s.rows != t.rows.Load() || s.deliveredAt != t.delivered {
+			t.publishAt(t.delivered)
+		}
+		return t.snap.Load()
 	}
-	snapper, ok := t.inner.(protocol.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("%w: protocol %s cannot publish coordinator snapshots", ErrOptionUnsupported, t.inner.Name())
+	t.pipe.Drain(flush)
+	at := t.lastAppliedT
+	if mp := t.pipe.MinProgress(); mp != math.MinInt64 {
+		t.ow.AdvanceCoord(mp)
+		at = max(at, mp)
 	}
-	if !t.gate.tryExclusive() {
-		return nil, fmt.Errorf("%w: build the tracker WithSnapshots for lock-free queries, or quiesce the feeders", ErrQueryDuringIngest)
-	}
-	t.snapper = snapper
-	var at int64
-	if t.pipe != nil {
-		at = t.quiesceAt(false)
-	} else {
-		at = t.delivered
+	if t.buckets != nil {
+		t.liveBuckets.Set(int64(t.buckets.LiveBuckets()))
 	}
 	t.publishAt(at)
-	s := t.snap.Load()
-	t.gate.exitExclusive()
-	return s, nil
+	return t.snap.Load()
 }
 
-// SnapshotVersion returns the latest published snapshot's version, or 0
-// when none has been published. Safe from any goroutine.
-func (t *Tracker) SnapshotVersion() uint64 {
-	if s := t.snap.Load(); s != nil {
-		return s.version
+// exactQuery is catchUp under the exclusive gate — in-flight ingest calls
+// finish first, new ones wait — plus the query's accounting, done under
+// the gate too so a sequential tracker's sink never runs concurrently with
+// ingest. The caller reads the returned snapshot after the gate is
+// released.
+func (t *Tracker) exactQuery() *Snapshot {
+	t.gate.Lock()
+	defer t.gate.Unlock()
+	s := t.catchUp(false)
+	t.queries.Inc()
+	if t.sink != nil {
+		t.sink.OnEvent(obs.Event{Kind: obs.EvSketchQuery, Site: -1, T: clampT(s.deliveredAt)})
 	}
-	return 0
+	return s
 }
 
-// SnapshotsEnabled reports whether the tracker was built WithSnapshots.
-func (t *Tracker) SnapshotsEnabled() bool { return t.snapArmed }
+// Snapshot returns the latest published version of the coordinator state:
+// one atomic load, safe from any goroutine while ingestion runs. It never
+// blocks and never fails; the error is always nil and remains in the
+// signature for compatibility.
+//
+// The version reflects the state as of the last publication (see Drain,
+// Sketch and, on a parallel tracker, the coordinator's cadence of 256
+// applied updates). Call Drain first for an exact, fully-caught-up
+// version, or use Sketch/SketchGram, which catch up themselves.
+func (t *Tracker) Snapshot() (*Snapshot, error) { return t.snap.Load(), nil }
+
+// SnapshotVersion returns the latest published snapshot's version (≥1).
+// Safe from any goroutine.
+func (t *Tracker) SnapshotVersion() uint64 { return t.snap.Load().version }
 
 // Closed reports whether Close was called. Queries (and snapshots taken
 // earlier) remain usable on a closed tracker; ingestion does not. Safe

@@ -2,13 +2,13 @@ package distwindow
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"distwindow/internal/protocol"
 	"distwindow/internal/stream"
@@ -60,11 +60,11 @@ type snapObs struct {
 }
 
 // TestSnapshotSequentialPrefixConsistency races readers against sequential
-// ingest on an armed tracker and asserts every snapshot they observe is
-// bit-identical to the state a reference tracker reaches after exactly
-// snapshot.Rows() delivered rows — snapshots are prefix-consistent, never
-// torn. Run with -race this is the regression test for queries racing
-// sequential ingest.
+// ingest and asserts every snapshot they observe is bit-identical to the
+// state a reference tracker reaches after exactly snapshot.Rows() delivered
+// rows — snapshots are prefix-consistent, never torn. The readers' exact
+// Sketch calls are what publish new versions mid-stream. Run with -race
+// this is the regression test for queries racing sequential ingest.
 func TestSnapshotSequentialPrefixConsistency(t *testing.T) {
 	const n, d, sites = 600, 4, 3
 	for _, p := range []Protocol{DA1, DA2, Decay, PWOR} {
@@ -91,7 +91,7 @@ func TestSnapshotSequentialPrefixConsistency(t *testing.T) {
 				want[int64(i+1)] = refHash(ref)
 			}
 
-			tr, err := New(cfg, WithSnapshots(16))
+			tr, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,9 @@ func TestSnapshotSequentialPrefixConsistency(t *testing.T) {
 // report, so the reference is built at update granularity: replaying the
 // same rows through a second tracker's one-way seam and fingerprinting the
 // coordinator after every single applied update. Every snapshot a reader
-// observes must be bit-identical to one of those prefixes.
+// observes must be bit-identical to one of those prefixes. The readers
+// stay lock-free (an exact read would drain the pipeline), and the
+// coordinator publishes every 8 applied updates so they see many versions.
 func TestSnapshotParallelPrefixConsistency(t *testing.T) {
 	const n, d, sites = 400, 4, 4
 	cfg := Config{Protocol: DA1, D: d, W: 300, Eps: 0.25, Sites: sites, Seed: 1}
@@ -192,7 +194,7 @@ func TestSnapshotParallelPrefixConsistency(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.NumCPU()}
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			tr, err := New(cfg, WithParallel(workers), WithSnapshots(8))
+			tr, err := New(cfg, WithParallel(workers), withPublishEvery(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +219,7 @@ func TestSnapshotParallelPrefixConsistency(t *testing.T) {
 						}
 						last = s.Version()
 						readers[g] = append(readers[g], snapObs{s.Version(), s.Rows(), snapHash(s)})
-						_, _ = tr.SketchGram()
+						_, _ = s.SketchGram()
 					}
 				}(g)
 			}
@@ -266,7 +268,7 @@ func TestSnapshotParallelPrefixConsistency(t *testing.T) {
 	}
 }
 
-// TestSnapshotRegistryConcurrentQueries exercises the registry path: armed
+// TestSnapshotRegistryConcurrentQueries exercises the registry path:
 // streams queried (snapshots, metrics, Prometheus exposition) while their
 // owners ingest.
 func TestSnapshotRegistryConcurrentQueries(t *testing.T) {
@@ -274,7 +276,7 @@ func TestSnapshotRegistryConcurrentQueries(t *testing.T) {
 	defer reg.Close()
 	cfg := Config{Protocol: DA1, D: 3, W: 500, Eps: 0.2, Sites: 1}
 	for _, id := range []string{"a", "b"} {
-		if _, _, err := reg.Open(id, cfg, WithSnapshots(16)); err != nil {
+		if _, _, err := reg.Open(id, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,33 +331,110 @@ func TestSnapshotRegistryConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestErrQueryDuringIngest pins the unarmed fallback: Snapshot on an
-// unarmed tracker fails fast with the typed error while ingest holds the
-// gate, instead of silently racing, and succeeds once ingest is out.
-func TestErrQueryDuringIngest(t *testing.T) {
-	tr, err := New(Config{Protocol: DA1, D: 3, W: 100, Eps: 0.2, Sites: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.TryObserve(0, Row{T: 1, V: []float64{1, 0, 0}}); err != nil {
-		t.Fatal(err)
-	}
+// readProtocols is every protocol the read contract is pinned for: the
+// sliding-window protocols plus Decay, the one whose estimate a read
+// could decay in place.
+func readProtocols() []Protocol { return append(Protocols(), Decay) }
 
-	tr.gate.enterShared() // simulate an ingest call in flight
-	if _, err := tr.Snapshot(); !errors.Is(err, ErrQueryDuringIngest) {
-		t.Fatalf("Snapshot during ingest: err = %v, want ErrQueryDuringIngest", err)
+// readConfig is a small tracker configuration for p.
+func readConfig(p Protocol, d, sites int) Config {
+	cfg := Config{Protocol: p, D: d, W: 200, Eps: 0.25, Sites: sites, Ell: 16, Seed: 1}
+	if p == Decay {
+		cfg.W, cfg.Ell = 0, 0
+		cfg.DecayGamma = 0.99
 	}
-	tr.gate.exitShared()
+	return cfg
+}
 
-	s, err := tr.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot after ingest: %v", err)
+// TestQueryIndependence pins that queries are read-only. Twin A answers
+// Sketch and SketchGram every 37 rows, with no Drain; twin B is never
+// queried. Each of A's answers must equal B's live state at the same row,
+// read through the non-mutating SnapshotCoord seam, and after the stream
+// both twins must answer bit-identically.
+func TestQueryIndependence(t *testing.T) {
+	const n, d, sites, every = 600, 6, 3, 37
+	for _, p := range readProtocols() {
+		t.Run(string(p), func(t *testing.T) {
+			cfg := readConfig(p, d, sites)
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range testRows(n, d, 13) {
+				observe(t, a, i%sites, r)
+				observe(t, b, i%sites, r)
+				if (i+1)%every != 0 {
+					continue
+				}
+				live := b.inner.SnapshotCoord()
+				if denseHash(a.Sketch()) != denseHash(live.Sketch()) {
+					t.Fatalf("row %d: queried twin's Sketch differs from the unqueried twin's state", i+1)
+				}
+				g, ok := a.SketchGram()
+				want, wantOK := live.Gram()
+				if ok != wantOK || ok && denseHash(g) != denseHash(want) {
+					t.Fatalf("row %d: queried twin's SketchGram differs from the unqueried twin's state", i+1)
+				}
+			}
+			if refHash(a) != refHash(b) {
+				t.Fatal("queries changed the queried twin's coordinator state")
+			}
+			if denseHash(a.Sketch()) != denseHash(b.Sketch()) {
+				t.Fatal("final Sketch differs between the twins")
+			}
+			ga, _ := a.SketchGram()
+			gb, ok := b.SketchGram()
+			if ok && denseHash(ga) != denseHash(gb) {
+				t.Fatal("final SketchGram differs between the twins")
+			}
+		})
 	}
-	if s.Rows() != 1 {
-		t.Errorf("snapshot rows = %d, want 1", s.Rows())
-	}
-	if tr.SnapshotsEnabled() {
-		t.Error("unarmed tracker reports SnapshotsEnabled")
+}
+
+// TestSnapshotDuringIngest pins the lock-free read: with an ingest call in
+// flight (the gate held shared), Snapshot returns the current version at
+// once, with a nil error, instead of failing or waiting for ingest.
+func TestSnapshotDuringIngest(t *testing.T) {
+	for _, p := range readProtocols() {
+		t.Run(string(p), func(t *testing.T) {
+			tr, err := New(readConfig(p, 3, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range testRows(20, 3, 5) {
+				observe(t, tr, 0, r)
+			}
+			tr.Drain()
+			want := tr.SnapshotVersion()
+
+			tr.gate.RLock() // an ingest call in flight
+			type result struct {
+				s   *Snapshot
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				s, err := tr.Snapshot()
+				done <- result{s, err}
+			}()
+			var got result
+			select {
+			case got = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Snapshot blocked behind an in-flight ingest call")
+			}
+			tr.gate.RUnlock()
+			if got.err != nil {
+				t.Fatalf("Snapshot during ingest: %v", got.err)
+			}
+			if got.s.Version() != want || got.s.Rows() != 20 {
+				t.Fatalf("Snapshot during ingest = v%d at %d rows, want v%d at 20 rows", got.s.Version(), got.s.Rows(), want)
+			}
+		})
 	}
 }
 
@@ -363,7 +442,7 @@ func TestErrQueryDuringIngest(t *testing.T) {
 // reads of one snapshot version hand out equal results and share the
 // cached scorer.
 func TestSnapshotCaching(t *testing.T) {
-	tr, err := New(Config{Protocol: DA1, D: 3, W: 100, Eps: 0.2, Sites: 1}, WithSnapshots(0))
+	tr, err := New(Config{Protocol: DA1, D: 3, W: 100, Eps: 0.2, Sites: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func feedRows(t *testing.T, tr *distwindow.Tracker, d, sites int, n int64, seed 
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		tr.Observe(rng.Intn(sites), distwindow.Row{T: i, V: v})
+		observe(t, tr, rng.Intn(sites), distwindow.Row{T: i, V: v})
 	}
 }
 
@@ -28,18 +28,22 @@ func TestEnableTracingRecordsChains(t *testing.T) {
 		d     = 6
 		sites = 3
 	)
-	tr, err := distwindow.New(distwindow.Config{
+	cfg := distwindow.Config{
 		Protocol: distwindow.DA2, D: d, W: 500, Eps: 0.1, Sites: sites, Seed: 1,
-	})
+	}
+	off, err := distwindow.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.TracingEnabled() {
+	if off.TracingEnabled() {
 		t.Fatal("tracing should be off by default")
 	}
-	tr.EnableTracing(distwindow.TraceConfig{SampleEvery: 1})
+	tr, err := distwindow.New(cfg, distwindow.WithTracing(distwindow.TraceConfig{SampleEvery: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !tr.TracingEnabled() {
-		t.Fatal("EnableTracing did not enable")
+		t.Fatal("WithTracing did not enable")
 	}
 
 	feedRows(t, tr, d, sites, 2000, 3)
@@ -113,22 +117,19 @@ func TestEnableAuditShadowsTheWindow(t *testing.T) {
 	)
 	tr, err := distwindow.New(distwindow.Config{
 		Protocol: distwindow.DA2, D: d, W: 500, Eps: 0.1, Sites: sites, Seed: 1,
-	})
+	}, distwindow.WithAudit(distwindow.AuditConfig{EveryRows: 128}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EnableAudit(distwindow.AuditConfig{EveryRows: 128}); err != nil {
-		t.Fatal(err)
-	}
 	if !tr.AuditEnabled() {
-		t.Fatal("EnableAudit did not enable")
+		t.Fatal("WithAudit did not enable")
 	}
 
 	feedRows(t, tr, d, sites, 3000, 5)
 
 	am, ok := tr.Audit()
 	if !ok {
-		t.Fatal("Audit() not ok after EnableAudit")
+		t.Fatal("Audit() not ok with WithAudit")
 	}
 	if am.Ticks < 3000/128 {
 		t.Fatalf("audit ticked %d times, want ≥ %d", am.Ticks, 3000/128)
@@ -166,12 +167,11 @@ func TestMetricsHandlerMountsDebugEndpoints(t *testing.T) {
 	)
 	tr, err := distwindow.New(distwindow.Config{
 		Protocol: distwindow.DA2, D: d, W: 200, Eps: 0.2, Sites: sites, Seed: 1,
-	})
+	},
+		distwindow.WithTracing(distwindow.TraceConfig{SampleEvery: 4}),
+		distwindow.WithAudit(distwindow.AuditConfig{EveryRows: 64}),
+	)
 	if err != nil {
-		t.Fatal(err)
-	}
-	tr.EnableTracing(distwindow.TraceConfig{SampleEvery: 4})
-	if err := tr.EnableAudit(distwindow.AuditConfig{EveryRows: 64}); err != nil {
 		t.Fatal(err)
 	}
 	feedRows(t, tr, d, sites, 500, 9)
