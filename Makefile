@@ -30,11 +30,10 @@ bench:
 # Headline performance figures (ingest rate, words/window, sketch-query
 # latency, the parallel pipeline's batch × workers scaling grid with its
 # benchgate efficiency gate, the multi-stream registry streams × workers
-# throughput grid with its falloff gate, the published-snapshot query
+# throughput grid with its falloff gate, and the published-snapshot query
 # path under concurrent queriers with its publish-overhead and
-# interference gates, and the gob-vs-binary-v2 wire codec comparison) on
-# a fixed reference workload, written as BENCH_PR10.json for machine
-# comparison across changes.
+# interference gates) on a fixed reference workload, written as
+# BENCH_PR10.json for machine comparison across changes.
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_PR10.json
 

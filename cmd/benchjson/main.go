@@ -3,12 +3,10 @@
 // ingest update rate, communication words per window, sketch-query
 // latency, the parallel-vs-sequential ingest ratio, the multi-stream
 // registry throughput sweep, the telemetry-on-vs-off ingest overhead,
-// the published-snapshot query path (queries/s under 0/1/8/64 concurrent
-// queriers with ingest running, plus the publish-overhead and
-// querier-interference gates), and the wire-codec comparison (gob vs
-// binary v2 on the Direction frames the protocols actually send) — as a
-// JSON document for machine comparison across changes
-// (`make bench-json` → BENCH_PR10.json).
+// and the published-snapshot query path (queries/s under 0/1/8/64
+// concurrent queriers with ingest running, plus the publish-overhead and
+// querier-interference gates) — as a JSON document for machine comparison
+// across changes (`make bench-json` → BENCH_PR10.json).
 // Alongside throughput it records allocs/op for the ingest loop
 // (runtime.MemStats mallocs over the timed rows), sweeps the parallel
 // pipeline over a batch-size × workers grid per protocol and applies the
@@ -28,7 +26,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,7 +40,6 @@ import (
 	"distwindow"
 	"distwindow/internal/benchgate"
 	"distwindow/internal/obs/telemetry"
-	"distwindow/internal/wire"
 )
 
 type result struct {
@@ -179,36 +175,6 @@ type queryPathGates struct {
 	Advisory            string  `json:"advisory,omitempty"`
 }
 
-// codecResult measures one wire framing on steady-state Direction frames
-// at the benchmark dimension — the frame class that dominates every
-// protocol's traffic. FirstFrameBytes includes the stream preamble (gob's
-// type descriptor, v2's Hello), paid once per connection.
-type codecResult struct {
-	Codec           string  `json:"codec"`
-	D               int     `json:"d"`
-	BytesPerFrame   float64 `json:"bytes_per_frame"`
-	FirstFrameBytes int     `json:"first_frame_bytes"`
-	EncodeNsPerOp   float64 `json:"encode_ns_per_op"`
-	DecodeNsPerOp   float64 `json:"decode_ns_per_op"`
-}
-
-// codecGates is the honest scorecard of the v2 framing against gob. The
-// bytes_2x gate records the original "≥2× fewer bytes per frame" target
-// verbatim; it CANNOT pass on Direction frames, and Bytes2xNote explains
-// the arithmetic: a lossless float64 costs 8 bytes, gob already spends
-// ~9.25 bytes per float on these rows, so the ceiling on any lossless
-// framing is ~1.16× — the real v2 wins are CPU (Cpu2x) and the
-// corruption/coalescing behaviour the soaks cover. See DESIGN.md §14.
-type codecGates struct {
-	BytesRatioGobOverV2 float64 `json:"bytes_ratio_gob_over_v2"`
-	Bytes2xPass         bool    `json:"bytes_2x_pass"`
-	Bytes2xNote         string  `json:"bytes_2x_note"`
-	BytesLeanerPass     bool    `json:"bytes_leaner_pass"`
-	EncodeSpeedup       float64 `json:"encode_speedup"`
-	DecodeSpeedup       float64 `json:"decode_speedup"`
-	Cpu2xPass           bool    `json:"cpu_2x_pass"`
-}
-
 type doc struct {
 	Generated string `json:"generated"`
 	GoArch    string `json:"config"`
@@ -231,116 +197,6 @@ type doc struct {
 	Telemetry       []telemetryResult `json:"telemetry"`
 	QueryPath       []queryPathResult `json:"query_path"`
 	QueryPathGates  queryPathGates    `json:"query_path_gates"`
-	WireCodec       []codecResult     `json:"wire_codec"`
-	WireCodecGates  codecGates        `json:"wire_codec_gates"`
-}
-
-// countWriter counts bytes; the codec benchmark's encode sink.
-type countWriter struct{ n int }
-
-func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-
-// benchCodec measures bytes/frame and encode/decode CPU for both wire
-// framings on steady-state Direction frames of dimension d.
-func benchCodec(d int, seed int64) ([]codecResult, codecGates) {
-	const frames = 50_000
-	rng := rand.New(rand.NewSource(seed))
-	v := make([]float64, d)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	measure := func(cdc wire.Codec) codecResult {
-		m := wire.Msg{Site: 3, Kind: wire.DirectionAdd, T: 1, V: v}
-
-		// Bytes: first frame (with stream preamble), then the steady state.
-		var cw countWriter
-		enc := cdc.NewEncoder(&cw)
-		m.Seq = 1
-		if err := enc.EncodeMsg(&m); err != nil {
-			log.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		first := cw.n
-		for i := 2; i <= frames+1; i++ {
-			m.T, m.Seq = int64(i), uint64(i)
-			if err := enc.EncodeMsg(&m); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		bytesPerFrame := float64(cw.n-first) / frames
-
-		// Encode CPU: a fresh stream, flushed at the sender's cadence (every
-		// frame, as a non-batched Send would) so gob and v2 pay comparable
-		// write-path costs.
-		enc = cdc.NewEncoder(&countWriter{})
-		start := time.Now()
-		for i := 1; i <= frames; i++ {
-			m.T, m.Seq = int64(i), uint64(i)
-			if err := enc.EncodeMsg(&m); err != nil {
-				log.Fatal(err)
-			}
-			if err := enc.Flush(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		encNs := float64(time.Since(start).Nanoseconds()) / frames
-
-		// Decode CPU over the same frames.
-		var buf bytes.Buffer
-		enc = cdc.NewEncoder(&buf)
-		for i := 1; i <= frames; i++ {
-			m.T, m.Seq = int64(i), uint64(i)
-			if err := enc.EncodeMsg(&m); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		dec := cdc.NewDecoder(&buf)
-		var out wire.Msg
-		start = time.Now()
-		for i := 1; i <= frames; i++ {
-			if err := dec.DecodeMsg(&out); err != nil {
-				log.Fatalf("%s decode frame %d: %v", cdc, i, err)
-			}
-		}
-		decNs := float64(time.Since(start).Nanoseconds()) / frames
-		if rel, ok := dec.(interface{ Release() }); ok {
-			rel.Release()
-		}
-
-		return codecResult{
-			Codec:           cdc.String(),
-			D:               d,
-			BytesPerFrame:   bytesPerFrame,
-			FirstFrameBytes: first,
-			EncodeNsPerOp:   encNs,
-			DecodeNsPerOp:   decNs,
-		}
-	}
-
-	g := measure(wire.Gob)
-	v2 := measure(wire.BinaryV2)
-	gates := codecGates{
-		BytesRatioGobOverV2: g.BytesPerFrame / v2.BytesPerFrame,
-		EncodeSpeedup:       g.EncodeNsPerOp / v2.EncodeNsPerOp,
-		DecodeSpeedup:       g.DecodeNsPerOp / v2.DecodeNsPerOp,
-	}
-	gates.Bytes2xPass = gates.BytesRatioGobOverV2 >= 2
-	gates.BytesLeanerPass = gates.BytesRatioGobOverV2 > 1
-	gates.Cpu2xPass = gates.EncodeSpeedup >= 2 && gates.DecodeSpeedup >= 2
-	if !gates.Bytes2xPass {
-		gates.Bytes2xNote = fmt.Sprintf(
-			"unattainable losslessly: a float64 is 8 bytes and gob spends %.2f B/float on a d=%d Direction row, capping any lossless framing at %.2fx; v2's measured ratio is %.2fx (DESIGN.md §14)",
-			g.BytesPerFrame/float64(d), d, g.BytesPerFrame/(8*float64(d)), gates.BytesRatioGobOverV2)
-	}
-	return []codecResult{g, v2}, gates
 }
 
 func main() {
@@ -814,27 +670,6 @@ func main() {
 		qpGates.PublishOverheadPct, qpVerdict(qpGates.PublishOverheadPass),
 		qpGates.Ingest8qRatio, qpVerdict(qpGates.Ingest8qPass))
 
-	// Wire codec comparison on the frame class that dominates the
-	// protocols' traffic.
-	codecResults, codecG := benchCodec(*d, *seed)
-	for _, cr := range codecResults {
-		fmt.Printf("codec      %-4s %6.1f B/frame (first %4d B)  encode %7.0f ns/op  decode %7.0f ns/op\n",
-			cr.Codec, cr.BytesPerFrame, cr.FirstFrameBytes, cr.EncodeNsPerOp, cr.DecodeNsPerOp)
-	}
-	b2 := "FAIL"
-	if codecG.Bytes2xPass {
-		b2 = "PASS"
-	}
-	cpu := "FAIL"
-	if codecG.Cpu2xPass {
-		cpu = "PASS"
-	}
-	fmt.Printf("codec      gates: bytes %.2fx gob/v2 (2x gate %s, leaner %v); encode %.1fx, decode %.1fx (cpu 2x gate %s)\n",
-		codecG.BytesRatioGobOverV2, b2, codecG.BytesLeanerPass, codecG.EncodeSpeedup, codecG.DecodeSpeedup, cpu)
-	if codecG.Bytes2xNote != "" {
-		fmt.Printf("codec      note: %s\n", codecG.Bytes2xNote)
-	}
-
 	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)
@@ -855,8 +690,6 @@ func main() {
 		Telemetry:       teleResults,
 		QueryPath:       queryPath,
 		QueryPathGates:  qpGates,
-		WireCodec:       codecResults,
-		WireCodecGates:  codecG,
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,6 @@ import (
 func main() {
 	var (
 		proto   = flag.String("proto", "da2", "protocol: da1 or da2")
-		codecF  = flag.String("codec", "gob", "wire framing: gob (legacy) or v2 (binary, CRC-checked, coalesced writes)")
 		m       = flag.Int("sites", 8, "number of site connections")
 		rows    = flag.Int("rows", 30_000, "rows to stream")
 		d       = flag.Int("d", 24, "row dimension")
@@ -77,10 +76,6 @@ func main() {
 	)
 	flag.Parse()
 
-	cdc, ok := wire.CodecByName(*codecF)
-	if !ok {
-		log.Fatalf("unknown -codec %q (want gob or v2)", *codecF)
-	}
 	chaosOn := *chDrop > 0 || *chCut > 0 || *chDup > 0 || *chDelay > 0 || *chDial > 0
 	if chaosOn && !*resilient {
 		log.Fatal("-chaos-* flags inject faults the bare sender cannot survive; add -resilient")
@@ -103,7 +98,7 @@ func main() {
 		runMultiStream(*proto, *m, *nStream, *rows, *d, *w, *eps, *seed, chaos.Config{
 			Seed: *chSeed, PDrop: *chDrop, PCut: *chCut, PDup: *chDup,
 			PDelay: *chDelay, PDialFail: *chDial,
-		}, *tele, *teleEvery, cdc)
+		}, *tele, *teleEvery)
 		return
 	}
 
@@ -219,13 +214,13 @@ func main() {
 			}
 			var sender wire.Sender
 			if *resilient {
-				dial := func() (io.WriteCloser, error) {
+				dial := func() (io.ReadWriteCloser, error) {
 					return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 				}
 				if inj != nil {
 					dial = inj.Dial(dial)
 				}
-				rs, err := wire.DialFunc(dial, wire.WithCodec(cdc), wire.WithResilience(wire.ResilienceConfig{
+				rs, err := wire.DialFunc(dial, wire.WithResilience(wire.ResilienceConfig{
 					BackoffBase: 5 * time.Millisecond,
 					BackoffMax:  200 * time.Millisecond,
 					JitterSeed:  *chSeed + int64(si),
@@ -255,7 +250,7 @@ func main() {
 					drain()
 					return
 				}
-				cs, err := wire.NewSender(conn, wire.WithCodec(cdc))
+				cs, err := wire.NewSender(conn)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -332,7 +327,7 @@ func main() {
 	}
 	b := coord.Sketch()
 	cm := coord.Metrics()
-	fmt.Printf("protocol:         %s over TCP (%s framing), %d sites\n", *proto, cdc, *m)
+	fmt.Printf("protocol:         %s over TCP, %d sites\n", *proto, *m)
 	fmt.Printf("streamed:         %d rows (d=%d) in %v\n", *rows, *d, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("covariance error: %.4f (target ε=%.3g)\n", truth.CovErr(*d, b), *eps)
 	fmt.Printf("wire traffic:     %d messages, %.1f KiB payload\n", cm.Msgs, float64(cm.Bytes)/1024)

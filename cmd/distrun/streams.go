@@ -27,7 +27,7 @@ import (
 // With telemetry on, each site runs one publisher over its shared sender
 // (stream "", aggregating rows across the multiplexed streams) and the
 // run ends with the coordinator's fleet report.
-func runMultiStream(proto string, m, nStream, rows, d int, w int64, eps float64, seed int64, chCfg chaos.Config, tele bool, teleEvery time.Duration, cdc wire.Codec) {
+func runMultiStream(proto string, m, nStream, rows, d int, w int64, eps float64, seed int64, chCfg chaos.Config, tele bool, teleEvery time.Duration) {
 	perStream := rows / nStream
 	if perStream < 1 {
 		log.Fatalf("-rows %d spread over -streams %d leaves no rows per stream", rows, nStream)
@@ -88,13 +88,13 @@ func runMultiStream(proto string, m, nStream, rows, d int, w int64, eps float64,
 		wg.Add(1)
 		go func(si int, in <-chan ev) {
 			defer wg.Done()
-			dial := func() (io.WriteCloser, error) {
+			dial := func() (io.ReadWriteCloser, error) {
 				return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 			}
 			if inj != nil {
 				dial = inj.Dial(dial)
 			}
-			rs, err := wire.DialFunc(dial, wire.WithCodec(cdc), wire.WithResilience(wire.ResilienceConfig{
+			rs, err := wire.DialFunc(dial, wire.WithResilience(wire.ResilienceConfig{
 				BackoffBase: 5 * time.Millisecond,
 				BackoffMax:  200 * time.Millisecond,
 				JitterSeed:  seed + int64(si),
@@ -207,7 +207,7 @@ func runMultiStream(proto string, m, nStream, rows, d int, w int64, eps float64,
 		rm.Replayed += sm.Replayed
 		rm.Pending += sm.Pending
 	}
-	fmt.Printf("protocol:         %s over TCP (%s framing), %d sites × %d streams\n", proto, cdc, m, nStream)
+	fmt.Printf("protocol:         %s over TCP, %d sites × %d streams\n", proto, m, nStream)
 	fmt.Printf("streamed:         %d rows (%d per stream, d=%d) in %v\n",
 		len(evs), perStream, d, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("covariance error: mean %.4f, worst %.4f (%s), target ε=%.3g\n",

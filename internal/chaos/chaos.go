@@ -189,11 +189,10 @@ func (in *Injector) decideDial() (refuse bool) {
 	return false
 }
 
-// conn is the shared fault-injecting wrapper state.
-type conn struct {
-	in *Injector
-	w  io.WriteCloser
-	r  io.Reader // nil on write-only transports
+// Conn is a fault-injected bidirectional connection.
+type Conn struct {
+	in  *Injector
+	rwc io.ReadWriteCloser
 
 	mu   sync.Mutex
 	dead bool
@@ -201,23 +200,25 @@ type conn struct {
 
 // kill marks the connection dead and closes the underlying transport so
 // both directions fail promptly.
-func (c *conn) kill() {
+func (c *Conn) kill() {
 	c.mu.Lock()
 	already := c.dead
 	c.dead = true
 	c.mu.Unlock()
 	if !already {
-		c.w.Close()
+		c.rwc.Close()
 	}
 }
 
-func (c *conn) isDead() bool {
+func (c *Conn) isDead() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dead
 }
 
-func (c *conn) Write(p []byte) (int, error) {
+// Write delivers to the underlying transport unless a write fault
+// intervenes: a drop, a mid-frame cut, a duplicate or a delay.
+func (c *Conn) Write(p []byte) (int, error) {
 	if c.isDead() {
 		return 0, ErrInjected
 	}
@@ -233,20 +234,21 @@ func (c *conn) Write(p []byte) (int, error) {
 		return len(p), nil
 	case writeCut:
 		if len(p) > 1 {
-			c.w.Write(p[:len(p)/2])
+			c.rwc.Write(p[:len(p)/2])
 		}
 		c.kill()
 		return 0, ErrInjected
 	case writeDup:
-		if n, err := c.w.Write(p); err != nil {
+		if n, err := c.rwc.Write(p); err != nil {
 			return n, err
 		}
-		return c.w.Write(p)
+		return c.rwc.Write(p)
 	}
-	return c.w.Write(p)
+	return c.rwc.Write(p)
 }
 
-func (c *conn) Close() error {
+// Close closes the underlying transport once.
+func (c *Conn) Close() error {
 	c.mu.Lock()
 	already := c.dead
 	c.dead = true
@@ -254,15 +256,11 @@ func (c *conn) Close() error {
 	if already {
 		return nil
 	}
-	return c.w.Close()
+	return c.rwc.Close()
 }
 
-// Conn is a fault-injected bidirectional connection.
-type Conn struct{ conn }
-
 // Read delivers from the underlying transport unless a read-cut fault
-// kills the connection first. Only Conn has it: WConn must not advertise
-// io.Reader on behalf of a write-only transport.
+// kills the connection first.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.isDead() {
 		return 0, ErrInjected
@@ -271,30 +269,20 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.kill()
 		return 0, ErrInjected
 	}
-	return c.r.Read(p)
+	return c.rwc.Read(p)
 }
-
-// WConn is a fault-injected write-only connection. It deliberately does
-// NOT implement io.Reader, so capability probes (the resilient sender's
-// ack-mode detection) see the wrapped transport's true shape.
-type WConn struct{ conn }
 
 // Wrap returns a fault-injected wrapper around rwc drawing from the
 // injector's fault stream.
 func (in *Injector) Wrap(rwc io.ReadWriteCloser) *Conn {
-	return &Conn{conn{in: in, w: rwc, r: rwc}}
-}
-
-// WrapWriter wraps a write-only transport (read faults never fire).
-func (in *Injector) WrapWriter(wc io.WriteCloser) *WConn {
-	return &WConn{conn{in: in, w: wc}}
+	return &Conn{in: in, rwc: rwc}
 }
 
 // Dial wraps a dial function: attempts may be refused (independent
 // failures and partitions), and successful dials return fault-injected
-// connections preserving the underlying transport's read capability.
-func (in *Injector) Dial(dial func() (io.WriteCloser, error)) func() (io.WriteCloser, error) {
-	return func() (io.WriteCloser, error) {
+// connections.
+func (in *Injector) Dial(dial func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error) {
+	return func() (io.ReadWriteCloser, error) {
 		if in.decideDial() {
 			return nil, ErrInjected
 		}
@@ -302,9 +290,6 @@ func (in *Injector) Dial(dial func() (io.WriteCloser, error)) func() (io.WriteCl
 		if err != nil {
 			return nil, err
 		}
-		if rwc, ok := raw.(io.ReadWriteCloser); ok {
-			return in.Wrap(rwc), nil
-		}
-		return in.WrapWriter(raw), nil
+		return in.Wrap(raw), nil
 	}
 }

@@ -47,12 +47,6 @@ func (m *memConn) delivered() []byte {
 	return append([]byte(nil), m.buf.Bytes()...)
 }
 
-// writeOnly hides memConn's Read.
-type writeOnly struct{ m *memConn }
-
-func (w writeOnly) Write(p []byte) (int, error) { return w.m.Write(p) }
-func (w writeOnly) Close() error                { return w.m.Close() }
-
 func TestZeroConfigIsPassthrough(t *testing.T) {
 	in := New(Config{Seed: 1})
 	raw := &memConn{}
@@ -151,7 +145,7 @@ func TestReadCutKillsConn(t *testing.T) {
 
 func TestDialPartition(t *testing.T) {
 	in := New(Config{Seed: 1, PartitionEvery: 4, PartitionDials: 2})
-	dial := in.Dial(func() (io.WriteCloser, error) { return &memConn{}, nil })
+	dial := in.Dial(func() (io.ReadWriteCloser, error) { return &memConn{}, nil })
 	var outcomes []bool
 	for i := 0; i < 12; i++ {
 		c, err := dial()
@@ -175,39 +169,17 @@ func TestDialPartition(t *testing.T) {
 	}
 }
 
-func TestDialPreservesReadCapability(t *testing.T) {
-	in := New(Config{Seed: 1})
-	bidi := in.Dial(func() (io.WriteCloser, error) { return &memConn{}, nil })
-	c, err := bidi()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(io.Reader); !ok {
-		t.Fatal("bidirectional transport lost io.Reader through the wrapper")
-	}
-	wo := in.Dial(func() (io.WriteCloser, error) { return writeOnly{m: &memConn{}}, nil })
-	c, err = wo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(io.Reader); ok {
-		t.Fatal("write-only transport gained io.Reader through the wrapper")
-	}
-}
-
 func TestSeedDeterminism(t *testing.T) {
 	run := func() Stats {
 		in := New(Config{Seed: 42, PDrop: 0.2, PCut: 0.2, PDup: 0.2, PReadCut: 0.3, PDialFail: 0.3})
-		dial := in.Dial(func() (io.WriteCloser, error) { return &memConn{}, nil })
+		dial := in.Dial(func() (io.ReadWriteCloser, error) { return &memConn{}, nil })
 		for i := 0; i < 50; i++ {
 			c, err := dial()
 			if err != nil {
 				continue
 			}
 			c.Write([]byte("frame"))
-			if r, ok := c.(io.Reader); ok {
-				r.Read(make([]byte, 1))
-			}
+			c.Read(make([]byte, 1))
 			c.Close()
 		}
 		return in.Stats()

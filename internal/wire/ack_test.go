@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -12,6 +11,7 @@ import (
 
 	"distwindow/internal/chaos"
 	"distwindow/internal/obs"
+	"distwindow/internal/wire/codec"
 	"distwindow/mat"
 )
 
@@ -48,7 +48,7 @@ func TestAcceptedButUndeliveredFrameIsRecovered(t *testing.T) {
 	// One write in ten is accepted but never delivered (and the
 	// connection dies, as a crashed peer's would).
 	inj := chaos.New(chaos.Config{Seed: 7, PDrop: 0.1})
-	s := mustDialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, inj.Dial(func() (io.ReadWriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 
@@ -84,34 +84,6 @@ func TestAcceptedButUndeliveredFrameIsRecovered(t *testing.T) {
 	s.Close()
 }
 
-// discardConn accepts every write and delivers none of them — the
-// transport-level shape of "the kernel took the bytes, the peer never
-// saw them".
-type discardConn struct{ n int }
-
-func (d *discardConn) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
-func (d *discardConn) Close() error                { return nil }
-
-// TestLegacyModeDocumentsTheLoss pins the failure the ack path fixes: on
-// a write-only transport (no acks possible) the sender retires frames on
-// write success, so an accepted-but-undelivered frame is gone —
-// at-most-once is the best that mode can do.
-func TestLegacyModeDocumentsTheLoss(t *testing.T) {
-	sink := &discardConn{}
-	s := mustDialFunc(t, func() (io.WriteCloser, error) { return sink, nil })
-	if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if p := s.Pending(); p != 0 {
-		t.Fatalf("legacy mode should retire on write; pending = %d", p)
-	}
-	if sink.n == 0 {
-		t.Fatal("nothing was written at all")
-	}
-	// No receiver exists and the sender believes it is done: the frame is
-	// lost. The ack path makes this impossible on bidirectional conns.
-}
-
 func TestCoordinatorDedupsReplayedFrames(t *testing.T) {
 	c := NewCoordinator(2)
 	m := Msg{Site: 0, Kind: DirectionAdd, T: 1, V: []float64{1, 0}, Seq: 1}
@@ -134,14 +106,14 @@ func TestCoordinatorDedupsReplayedFrames(t *testing.T) {
 	if f := mat.FrobSq(c.Sketch()); math.Abs(f-2) > 1e-12 {
 		t.Fatalf("sketch mass %v, want 2: per-site dedup keyed wrongly", f)
 	}
-	// Unsequenced legacy frames are never deduped.
+	// Unsequenced frames are never deduped.
 	for i := 0; i < 2; i++ {
 		if err := c.Apply(Msg{Site: 0, Kind: SumDelta, Delta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.Sum() != 2 {
-		t.Fatalf("Sum = %v, want 2: legacy frames must not be deduped", c.Sum())
+		t.Fatalf("Sum = %v, want 2: unsequenced frames must not be deduped", c.Sum())
 	}
 }
 
@@ -162,6 +134,10 @@ func TestPoisonFrameConsumedOnce(t *testing.T) {
 	}
 }
 
+// TestHandleConnAcksSequencedFrames: the coordinator acks every sequenced
+// frame it consumes, in order, tagged with the frame's stream, on the
+// connection the frame arrived on. An unsequenced frame (Seq 0: a bare
+// NewSender's frames, or telemetry) is applied and never acked.
 func TestHandleConnAcksSequencedFrames(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -170,30 +146,56 @@ func TestHandleConnAcksSequencedFrames(t *testing.T) {
 	defer ln.Close()
 	coord := NewCoordinator(2)
 	go coord.Serve(ln)
+	defer coord.Close()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	for i := 1; i <= 3; i++ {
-		if err := enc.Encode(Msg{Site: 0, Kind: SumDelta, T: int64(i), Delta: 1, Seq: uint64(i)}); err != nil {
+	enc := codec.BinaryV2.NewEncoder(conn)
+	dec := codec.BinaryV2.NewDecoder(conn)
+	frames := []Msg{
+		{Site: 0, Kind: SumDelta, T: 1, Delta: 1, Seq: 1},
+		{Site: 0, Kind: SumDelta, T: 1, Delta: 1, Seq: 1, StreamID: "s"},
+		{Site: 2, Kind: SumDelta, T: 4, Delta: 9}, // unsequenced
+		{Site: 0, Kind: SumDelta, T: 2, Delta: 1, Seq: 2},
+		{Site: 0, Kind: SumDelta, T: 2, Delta: 1, Seq: 2, StreamID: "s"},
+		{Site: 0, Kind: SumDelta, T: 3, Delta: 1, Seq: 3},
+		{Site: 0, Kind: SumDelta, T: 3, Delta: 1, Seq: 3, StreamID: "s"},
+	}
+	for i := range frames {
+		if err := enc.EncodeMsg(&frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 1; i <= 3; i++ {
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var acked int64
+	for _, m := range frames {
+		if m.Seq == 0 {
+			continue
+		}
 		var a Ack
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if err := dec.Decode(&a); err != nil {
-			t.Fatalf("ack %d: %v", i, err)
+		if err := dec.DecodeAck(&a); err != nil {
+			t.Fatalf("ack %d: %v", acked+1, err)
 		}
-		if a.Seq != uint64(i) {
-			t.Fatalf("ack %d carries seq %d", i, a.Seq)
+		if a.Seq != m.Seq || a.Stream != m.StreamID || a.Nack {
+			t.Fatalf("ack %d = %+v, want seq %d stream %q", acked+1, a, m.Seq, m.StreamID)
 		}
+		acked++
 	}
-	waitAcked(t, coord, 3)
+	// The unsequenced frame precedes the last sequenced one, so an ack
+	// for it would already be counted here.
+	waitAcked(t, coord, acked)
+	if got := coord.Sum(); got != 12 {
+		t.Fatalf("Sum = %v, want 12 (the unsequenced frame applied)", got)
+	}
+	if got := coord.SumOf("s"); got != 3 {
+		t.Fatalf("SumOf(s) = %v, want 3", got)
+	}
 }
 
 // waitAcked waits for the coordinator's ack counter to reach want, then
@@ -210,59 +212,9 @@ func waitAcked(t *testing.T, coord *Coordinator, want int64) {
 	}
 }
 
-// legacySeqMsg is the pre-ack frame shape: Msg without Seq (the trace
-// fields had already shipped). Both directions must keep decoding.
-type legacySeqMsg struct {
-	Site        int
-	Kind        Kind
-	T           int64
-	V           []float64
-	Delta       float64
-	Trace, Span uint64
-}
-
-func TestGobCompatSeqField(t *testing.T) {
-	// Old sender → new coordinator: Seq decodes as 0 (unsequenced), the
-	// frame is applied, and no ack is written.
-	var up bytes.Buffer
-	if err := gob.NewEncoder(&up).Encode(legacySeqMsg{Site: 2, Kind: SumDelta, T: 4, Delta: 9}); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(2)
-	var acks bytes.Buffer
-	if err := c.HandleConn(readWriter{&up, &acks}); err != nil {
-		t.Fatalf("HandleConn on pre-ack stream: %v", err)
-	}
-	if c.Sum() != 9 {
-		t.Fatalf("Sum = %v, want 9", c.Sum())
-	}
-	if acks.Len() != 0 {
-		t.Fatal("coordinator acked an unsequenced legacy frame")
-	}
-
-	// New sender → old coordinator: a sequenced frame decodes into the
-	// pre-ack shape with Seq simply ignored.
-	var down bytes.Buffer
-	if err := gob.NewEncoder(&down).Encode(Msg{Site: 1, Kind: DirectionAdd, T: 2, V: []float64{1, 2}, Seq: 77}); err != nil {
-		t.Fatal(err)
-	}
-	var got legacySeqMsg
-	if err := gob.NewDecoder(&down).Decode(&got); err != nil {
-		t.Fatalf("legacy decode of sequenced frame: %v", err)
-	}
-	if got.Site != 1 || got.Kind != DirectionAdd || len(got.V) != 2 {
-		t.Fatalf("legacy decode mangled the frame: %+v", got)
-	}
-}
-
-type readWriter struct {
-	io.Reader
-	io.Writer
-}
-
 func TestDialBackoffLimitsAttempts(t *testing.T) {
 	dials := 0
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		dials++
 		return nil, errors.New("down")
 	})
@@ -288,13 +240,14 @@ func TestDialBackoffLimitsAttempts(t *testing.T) {
 
 func TestBackoffResetsAfterSuccess(t *testing.T) {
 	fail := true
-	var sink bytes.Buffer
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	c := NewCoordinator(2)
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		if fail {
 			return nil, errors.New("down")
 		}
-		return nopCloser{&sink}, nil
+		return pipeTo(c), nil
 	})
+	defer s.Close()
 	s.BackoffBase = time.Millisecond
 	s.BackoffMax = 4 * time.Millisecond
 	s.SetJitterSeed(1)
@@ -303,13 +256,13 @@ func TestBackoffResetsAfterSuccess(t *testing.T) {
 	if p := drainSender(s, 2*time.Second); p != 0 {
 		t.Fatalf("%d pending after recovery", p)
 	}
-	if sink.Len() == 0 {
+	if c.Sum() != 1 {
 		t.Fatal("nothing delivered after the backoff window elapsed")
 	}
 }
 
 func TestCloseRefusesToLosePending(t *testing.T) {
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 4; i++ {
@@ -396,7 +349,7 @@ func TestLivenessStaleAndResync(t *testing.T) {
 }
 
 func TestSenderStateRoundTrip(t *testing.T) {
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	for i := 0; i < 3; i++ {
@@ -407,7 +360,7 @@ func TestSenderStateRoundTrip(t *testing.T) {
 		t.Fatalf("State = NextSeq %d, %d backlog", st.NextSeq, len(st.Backlog))
 	}
 
-	r := mustDialFunc(t, func() (io.WriteCloser, error) {
+	r := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("down")
 	})
 	if err := r.RestoreState(st); err != nil {
@@ -468,8 +421,12 @@ func TestDeepBacklogDrainsUnderLossyLink(t *testing.T) {
 	coord := NewCoordinator(2)
 	go coord.Serve(ln)
 
-	inj := chaos.New(chaos.Config{Seed: 11, PDrop: 0.04, PCut: 0.02})
-	s := mustDialFunc(t, inj.Dial(func() (io.WriteCloser, error) {
+	// Faults are drawn per write, and the v2 sender writes each Send's
+	// frame on its own until the window fills: at least 64 writes. Seed 15
+	// draws its first cut at write 9 and its first drop at write 55, so
+	// every run meets the fault-mix minimum below.
+	inj := chaos.New(chaos.Config{Seed: 15, PDrop: 0.04, PCut: 0.02})
+	s := mustDialFunc(t, inj.Dial(func() (io.ReadWriteCloser, error) {
 		return net.Dial("tcp", ln.Addr().String())
 	}))
 

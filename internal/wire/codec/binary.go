@@ -46,11 +46,9 @@ import (
 //
 // Hello (frame type 0) is the one-shot handshake preamble: each encoder
 // writes one Hello before its first frame, carrying the highest codec
-// version the sender speaks; decoders record it and skip the frame. The
-// negotiation matrix lives in PROTOCOLS.md — the short version is that
-// sniffing does the work (a v2-aware coordinator detects either codec
-// per connection) and Hello exists so a future v3 can be negotiated
-// without a new magic byte.
+// version the sender speaks; decoders record it and skip the frame. It
+// puts the magic byte first on every stream (what Detect checks) and lets
+// a future v3 be negotiated without a new magic byte.
 const (
 	magic0 = 0xD5
 	magic1 = 0x9C
@@ -101,8 +99,6 @@ func (e *CorruptFrameError) Error() string {
 }
 
 type binaryCodec struct{}
-
-func (binaryCodec) String() string { return "v2" }
 
 func (binaryCodec) NewEncoder(w io.Writer) Encoder { return &binaryEncoder{w: w} }
 
@@ -356,17 +352,15 @@ type binaryDecoder struct {
 }
 
 // newBinaryDecoderBuffered builds a decoder whose window is pre-seeded
-// with already-read bytes (the sniffed first byte from Detect).
+// with already-read bytes (the first byte Detect checked).
 func newBinaryDecoderBuffered(r io.Reader, seed []byte) *binaryDecoder {
 	d := &binaryDecoder{r: r, buf: frameBufs.get()}
 	d.buf = append(d.buf, seed...)
 	return d
 }
 
-// Release returns the decoder's window buffer to the freelist. The
-// decoder must not be used afterwards. Optional — a dropped decoder is
-// merely garbage — but connection handlers call it so reconnect churn
-// recycles buffers.
+// Release returns the decoder's window buffer to the freelist (see
+// Decoder).
 func (d *binaryDecoder) Release() {
 	if d.released {
 		return

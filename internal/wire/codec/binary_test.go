@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -14,7 +15,7 @@ import (
 )
 
 // copyMsg deep-copies a decoded Msg out of the decoder's reusable buffers
-// and normalizes empty-vs-nil so gob and binary round trips compare equal.
+// and normalizes empty-vs-nil so a round trip compares equal to its input.
 func copyMsg(m Msg) Msg {
 	if len(m.V) > 0 {
 		m.V = append([]float64(nil), m.V...)
@@ -94,11 +95,11 @@ func randMsg(rng *rand.Rand) Msg {
 	return m
 }
 
-// TestMsgRoundTripPropertyVsGob is the round-trip property test: for a
-// large randomized sample covering every Msg kind and every presence-flag
-// combination, both codecs must decode back exactly what gob decodes —
-// the binary framing is a re-encoding, never a re-interpretation.
-func TestMsgRoundTripPropertyVsGob(t *testing.T) {
+// TestMsgRoundTripProperty is the round-trip property test: for a large
+// randomized sample covering every Msg kind and every presence-flag
+// combination, the codec must decode back exactly what was encoded — the
+// binary framing is a re-encoding, never a re-interpretation.
+func TestMsgRoundTripProperty(t *testing.T) {
 	rng := rand.NewSource(42)
 	r := rand.New(rng)
 	msgs := make([]Msg, 0, 400)
@@ -114,47 +115,43 @@ func TestMsgRoundTripPropertyVsGob(t *testing.T) {
 		Msg{StreamID: "только-utf8-✓", Kind: SumDelta, Delta: -1},
 	)
 
-	for _, cdc := range []Codec{Gob, BinaryV2} {
-		var buf bytes.Buffer
-		enc := cdc.NewEncoder(&buf)
-		for i := range msgs {
-			m := msgs[i]
-			if err := enc.EncodeMsg(&m); err != nil {
-				t.Fatalf("%s: encode msg %d: %v", cdc, i, err)
-			}
+	var buf bytes.Buffer
+	enc := BinaryV2.NewEncoder(&buf)
+	for i := range msgs {
+		m := msgs[i]
+		if err := enc.EncodeMsg(&m); err != nil {
+			t.Fatalf("encode msg %d: %v", i, err)
 		}
-		if err := enc.Flush(); err != nil {
-			t.Fatalf("%s: flush: %v", cdc, err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	dec := BinaryV2.NewDecoder(&buf)
+	defer dec.Release()
+	for i := range msgs {
+		var got Msg
+		if err := dec.DecodeMsg(&got); err != nil {
+			t.Fatalf("decode msg %d: %v", i, err)
 		}
-		dec := cdc.NewDecoder(&buf)
-		for i := range msgs {
-			var got Msg
-			if err := dec.DecodeMsg(&got); err != nil {
-				t.Fatalf("%s: decode msg %d: %v", cdc, i, err)
-			}
-			want := normMsg(msgs[i])
-			g := copyMsg(got)
-			// NaN breaks DeepEqual; compare bit patterns for V.
-			if len(want.V) == len(g.V) {
-				for j := range want.V {
-					if math.Float64bits(want.V[j]) != math.Float64bits(g.V[j]) {
-						t.Fatalf("%s: msg %d V[%d]: got %x want %x", cdc, i, j,
-							math.Float64bits(g.V[j]), math.Float64bits(want.V[j]))
-					}
+		want := normMsg(msgs[i])
+		g := copyMsg(got)
+		// NaN breaks DeepEqual; compare bit patterns for V.
+		if len(want.V) == len(g.V) {
+			for j := range want.V {
+				if math.Float64bits(want.V[j]) != math.Float64bits(g.V[j]) {
+					t.Fatalf("msg %d V[%d]: got %x want %x", i, j,
+						math.Float64bits(g.V[j]), math.Float64bits(want.V[j]))
 				}
-				want.V, g.V = nil, nil
 			}
-			if !reflect.DeepEqual(want, g) {
-				t.Fatalf("%s: msg %d round trip:\n got %+v\nwant %+v", cdc, i, g, want)
-			}
+			want.V, g.V = nil, nil
 		}
-		var tail Msg
-		if err := dec.DecodeMsg(&tail); err != io.EOF {
-			t.Fatalf("%s: want io.EOF after last frame, got %v", cdc, err)
+		if !reflect.DeepEqual(want, g) {
+			t.Fatalf("msg %d round trip:\n got %+v\nwant %+v", i, g, want)
 		}
-		if rel, ok := dec.(interface{ Release() }); ok {
-			rel.Release()
-		}
+	}
+	var tail Msg
+	if err := dec.DecodeMsg(&tail); err != io.EOF {
+		t.Fatalf("want io.EOF after last frame, got %v", err)
 	}
 }
 
@@ -166,26 +163,24 @@ func TestAckRoundTrip(t *testing.T) {
 		{Seq: 7, Nack: true},
 		{Seq: 9, Stream: "s", Nack: true},
 	}
-	for _, cdc := range []Codec{Gob, BinaryV2} {
-		var buf bytes.Buffer
-		enc := cdc.NewEncoder(&buf)
-		for _, a := range acks {
-			if err := enc.EncodeAck(a); err != nil {
-				t.Fatalf("%s: encode: %v", cdc, err)
-			}
+	var buf bytes.Buffer
+	enc := BinaryV2.NewEncoder(&buf)
+	for _, a := range acks {
+		if err := enc.EncodeAck(a); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		if err := enc.Flush(); err != nil {
-			t.Fatalf("%s: flush: %v", cdc, err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	dec := BinaryV2.NewDecoder(&buf)
+	for i, want := range acks {
+		var got Ack
+		if err := dec.DecodeAck(&got); err != nil {
+			t.Fatalf("decode ack %d: %v", i, err)
 		}
-		dec := cdc.NewDecoder(&buf)
-		for i, want := range acks {
-			var got Ack
-			if err := dec.DecodeAck(&got); err != nil {
-				t.Fatalf("%s: decode ack %d: %v", cdc, i, err)
-			}
-			if got != want {
-				t.Fatalf("%s: ack %d: got %+v want %+v", cdc, i, got, want)
-			}
+		if got != want {
+			t.Fatalf("ack %d: got %+v want %+v", i, got, want)
 		}
 	}
 }
@@ -231,32 +226,38 @@ func TestHelloPreamble(t *testing.T) {
 }
 
 func TestDetect(t *testing.T) {
-	for _, cdc := range []Codec{Gob, BinaryV2} {
-		var buf bytes.Buffer
-		enc := cdc.NewEncoder(&buf)
-		m := Msg{Site: 3, Kind: SumDelta, Delta: 1.5, Seq: 1}
-		if err := enc.EncodeMsg(&m); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		dec, got, err := Detect(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", cdc, err)
-		}
-		if got != cdc {
-			t.Fatalf("Detect sniffed %s, want %s", got, cdc)
-		}
-		var out Msg
-		if err := dec.DecodeMsg(&out); err != nil {
-			t.Fatalf("%s: decode after sniff: %v", cdc, err)
-		}
-		if out.Site != 3 || out.Delta != 1.5 || out.Seq != 1 {
-			t.Fatalf("%s: got %+v", cdc, out)
-		}
+	var buf bytes.Buffer
+	enc := BinaryV2.NewEncoder(&buf)
+	m := Msg{Site: 3, Kind: SumDelta, Delta: 1.5, Seq: 1}
+	if err := enc.EncodeMsg(&m); err != nil {
+		t.Fatal(err)
 	}
-	// Empty connection: EOF, not a codec guess.
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec, got, err := Detect(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != BinaryV2 {
+		t.Fatalf("Detect returned %v, want BinaryV2", got)
+	}
+	var out Msg
+	if err := dec.DecodeMsg(&out); err != nil {
+		t.Fatalf("decode after Detect: %v", err)
+	}
+	if out.Site != 3 || out.Delta != 1.5 || out.Seq != 1 {
+		t.Fatalf("got %+v", out)
+	}
+	// A pre-v2 gob sender's stream is refused on its first byte.
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Detect(&buf); !errors.Is(err, ErrNotV2) {
+		t.Fatalf("Detect on a gob stream: %v, want ErrNotV2", err)
+	}
+	// Empty connection: EOF, not a refusal.
 	if _, _, err := Detect(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("Detect on empty stream: %v, want io.EOF", err)
 	}
@@ -397,7 +398,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestCoalescing: a batch of encodes below the flush threshold reaches
-// the writer as exactly one Write; gob writes through per frame.
+// the writer as exactly one Write.
 func TestCoalescing(t *testing.T) {
 	var w countingWriter
 	enc := BinaryV2.NewEncoder(&w)
@@ -482,47 +483,5 @@ func TestDecoderBufferReuse(t *testing.T) {
 	}
 	if first[0] != 2 {
 		t.Fatalf("aliased row not overwritten: %v", first)
-	}
-}
-
-// TestSteadyStateFrameSmallerThanGob pins the bytes/frame ordering for a
-// realistic direction row: v2's fixed layout beats gob's per-field walk
-// once gob's one-time type descriptor is excluded. (The full honest
-// accounting — including where gob wins — is cmd/benchjson's wire_codec
-// section.)
-func TestSteadyStateFrameSmallerThanGob(t *testing.T) {
-	const d = 32
-	m := Msg{Site: 3, Kind: DirectionAdd, T: 12345, Seq: 100, V: make([]float64, d)}
-	for i := range m.V {
-		m.V[i] = rand.New(rand.NewSource(7)).NormFloat64()
-	}
-	steady := func(c Codec) int {
-		var buf bytes.Buffer
-		enc := c.NewEncoder(&buf)
-		if err := enc.EncodeMsg(&m); err != nil {
-			t.Fatal(err)
-		}
-		enc.Flush()
-		first := buf.Len()
-		if err := enc.EncodeMsg(&m); err != nil {
-			t.Fatal(err)
-		}
-		enc.Flush()
-		return buf.Len() - first
-	}
-	g, v := steady(Gob), steady(BinaryV2)
-	if v >= g {
-		t.Fatalf("steady-state v2 frame (%dB) not smaller than gob (%dB) at d=%d", v, g, d)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for name, want := range map[string]Codec{"gob": Gob, "v2": BinaryV2, "binary": BinaryV2, "binary-v2": BinaryV2} {
-		if got, ok := ByName(name); !ok || got != want {
-			t.Fatalf("ByName(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := ByName("json"); ok {
-		t.Fatal("ByName accepted an unknown codec")
 	}
 }

@@ -42,7 +42,7 @@ func fuzzSeedAcks() []byte {
 func drainMsgs(t *testing.T, raw []byte) {
 	t.Helper()
 	dec := BinaryV2.NewDecoder(bytes.NewReader(raw))
-	defer dec.(*binaryDecoder).Release()
+	defer dec.Release()
 	var m Msg
 	for i := 0; i <= len(raw)+16; i++ {
 		err := dec.DecodeMsg(&m)
@@ -90,7 +90,7 @@ func FuzzDecodeAck(f *testing.F) {
 	f.Add([]byte{magic0, magic1, Version<<4 | ftAck, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dec := BinaryV2.NewDecoder(bytes.NewReader(raw))
-		defer dec.(*binaryDecoder).Release()
+		defer dec.Release()
 		var a Ack
 		for i := 0; i <= len(raw)+16; i++ {
 			err := dec.DecodeAck(&a)

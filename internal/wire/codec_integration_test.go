@@ -1,21 +1,23 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"distwindow/internal/obs"
+	"distwindow/internal/wire/codec"
 	"distwindow/mat"
 )
 
-// corruptConn flips one byte of the Nth Write — a bit-rot fault the
-// gob framing cannot survive (the stream desynchronizes and the
-// connection dies) but the v2 framing must absorb frame-locally.
+// corruptConn flips one byte of the Nth Write — a bit-rot fault the v2
+// framing must absorb frame-locally.
 type corruptConn struct {
 	net.Conn
 	mu     sync.Mutex
@@ -70,14 +72,14 @@ func TestCorruptFrameMidStreamRecovered(t *testing.T) {
 	// Write #1 carries Hello + frame seq 1; write #2 carries frame seq 2,
 	// whose payload byte (offset 20 > the 12-byte header) gets flipped.
 	var cc *corruptConn
-	s, err := DialFunc(func() (io.WriteCloser, error) {
+	s, err := DialFunc(func() (io.ReadWriteCloser, error) {
 		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 		if err != nil {
 			return nil, err
 		}
 		cc = &corruptConn{Conn: conn, writeN: 2, offset: 20}
 		return cc, nil
-	}, WithCodec(BinaryV2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,90 +142,43 @@ func TestCorruptFrameMidStreamRecovered(t *testing.T) {
 	s.Close()
 }
 
-// TestMixedCodecFleetBitIdentical runs a fleet where half the sites speak
-// gob and half speak binary v2 into ONE coordinator, and requires the
-// final estimate to be bit-identical to applying the same deltas
-// directly: the codec is a transport detail, invisible to the estimate.
-func TestMixedCodecFleetBitIdentical(t *testing.T) {
-	const (
-		d    = 4
-		nmsg = 48
-	)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	coord := NewCoordinator(d)
-	go coord.Serve(ln)
-	defer coord.Close()
-	ref := NewCoordinator(d)
-
-	codecs := []Codec{Gob, BinaryV2, Gob, BinaryV2}
-	senders := make([]*ResilientSender, len(codecs))
-	for i := range senders {
-		s, err := DialFunc(func() (io.WriteCloser, error) {
-			return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-		}, WithCodec(codecs[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		senders[i] = s
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	seqs := make([]uint64, len(codecs))
-	for i := 0; i < nmsg; i++ {
-		si := i % len(codecs)
-		m := Msg{Site: si, T: int64(i + 1)}
-		if i%5 == 4 {
-			m.Kind = SumDelta
-			m.Delta = rng.NormFloat64()
-		} else {
-			m.Kind = DirectionAdd
-			m.V = make([]float64, d)
-			for j := range m.V {
-				m.V[j] = rng.NormFloat64()
-			}
-		}
-		if err := senders[si].Send(m); err != nil {
-			t.Fatal(err)
-		}
-		// Serialize delivery so both coordinators apply in one order —
-		// float addition is order-sensitive and the comparison is exact.
-		if p := drainSender(senders[si], 10*time.Second); p != 0 {
-			t.Fatalf("site %d: %d pending", si, p)
-		}
-		seqs[si]++
-		m.Seq = seqs[si]
-		if err := ref.Apply(m); err != nil {
+// TestHandleConnRefusesNonV2Stream: a stale gob sender's stream is refused
+// on its first byte — counted once in BadMsgs, reported as one
+// EvMsgRejected from site -1, the connection ended with codec.ErrNotV2 —
+// and nothing it carried reaches the estimate. Without the first-byte
+// check the v2 decoder would scan the gob stream for magic bytes, counting
+// corrupt frames and applying nothing, for as long as the sender stayed.
+func TestHandleConnRefusesNonV2Stream(t *testing.T) {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for _, m := range []Msg{
+		{Site: 1, Kind: DirectionAdd, T: 1, V: []float64{3, 4}, Seq: 1},
+		{Site: 1, Kind: SumDelta, T: 2, Delta: 7, Seq: 2},
+	} {
+		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	got, want := coord.Snapshot(), ref.Snapshot()
-	if len(got.Chat) != len(want.Chat) {
-		t.Fatalf("estimate sizes differ: %d vs %d", len(got.Chat), len(want.Chat))
+	var events []obs.Event
+	c := NewCoordinator(2, WithSink(obs.FuncSink(func(e obs.Event) { events = append(events, e) })))
+	if err := c.HandleConn(&buf); !errors.Is(err, codec.ErrNotV2) {
+		t.Fatalf("HandleConn on a gob stream: %v, want codec.ErrNotV2", err)
 	}
-	for i := range want.Chat {
-		if got.Chat[i] != want.Chat[i] {
-			t.Fatalf("Ĉ[%d]: mixed fleet %v, reference %v — a codec perturbed the estimate", i, got.Chat[i], want.Chat[i])
-		}
+	if cm := c.Metrics(); cm.BadMsgs != 1 || cm.Msgs != 0 || cm.AckedMsgs != 0 {
+		t.Fatalf("BadMsgs=%d Msgs=%d AckedMsgs=%d, want 1, 0, 0", cm.BadMsgs, cm.Msgs, cm.AckedMsgs)
 	}
-	if coord.Sum() != ref.Sum() {
-		t.Fatalf("Sum: mixed fleet %v, reference %v", coord.Sum(), ref.Sum())
+	if len(events) != 1 || events[0].Kind != obs.EvMsgRejected || events[0].Site != -1 {
+		t.Fatalf("events %+v, want one EvMsgRejected from site -1", events)
 	}
-	if cm := coord.Metrics(); cm.Msgs != nmsg || cm.BadMsgs != 0 {
-		t.Fatalf("Msgs=%d BadMsgs=%d, want %d and 0", cm.Msgs, cm.BadMsgs, nmsg)
-	}
-	for i := range senders {
-		senders[i].Close()
+	if f := mat.FrobSq(c.Sketch()); f != 0 || c.Sum() != 0 {
+		t.Fatalf("estimate moved: sketch mass %v, sum %v", f, c.Sum())
 	}
 }
 
-// TestHandleConnV2AcksSequencedFrames mirrors the gob ack test on a raw
-// binary v2 connection: the coordinator detects the codec from the first
-// byte and acks in kind.
+// TestHandleConnV2AcksSequencedFrames: the coordinator acks in v2. Its ack
+// stream opens with the magic byte and a Hello carrying codec.Version, so
+// codec.Detect accepts it, and every ack carries the stream of the frame
+// it acknowledges.
 func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -239,8 +194,7 @@ func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := BinaryV2.NewEncoder(conn)
-	dec := BinaryV2.NewDecoder(conn)
+	enc := codec.BinaryV2.NewEncoder(conn)
 	for i := 1; i <= 3; i++ {
 		m := Msg{Site: 0, Kind: SumDelta, T: int64(i), Delta: 1, Seq: uint64(i), StreamID: "s"}
 		if err := enc.EncodeMsg(&m); err != nil {
@@ -250,6 +204,12 @@ func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	dec, _, err := codec.Detect(conn)
+	if err != nil {
+		t.Fatalf("ack stream: %v, want a v2 stream", err)
+	}
+	defer dec.Release()
 	for i := 1; i <= 3; i++ {
 		var a Ack
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -259,6 +219,10 @@ func TestHandleConnV2AcksSequencedFrames(t *testing.T) {
 		if a.Seq != uint64(i) || a.Stream != "s" || a.Nack {
 			t.Fatalf("ack %d = %+v", i, a)
 		}
+	}
+	pv, ok := dec.(interface{ PeerVersion() byte })
+	if !ok || pv.PeerVersion() != codec.Version {
+		t.Fatalf("ack stream Hello: decoder %T, want peer version %d", dec, codec.Version)
 	}
 	waitAcked(t, coord, 3)
 	if got := coord.SumOf("s"); got != 3 {

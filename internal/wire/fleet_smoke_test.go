@@ -23,10 +23,20 @@ import (
 // exposition is syntactically valid, carries per-(site, stream) series
 // with site/stream/protocol labels from live telemetry, and the data
 // plane stayed exactly-once under the injected faults.
-func TestFleetSmoke(t *testing.T)         { runFleetSmoke(t, Gob) }
-func TestFleetSmokeBinaryV2(t *testing.T) { runFleetSmoke(t, BinaryV2) }
+func TestFleetSmoke(t *testing.T) {
+	runFleetSmoke(t, chaos.Config{Seed: 42, PDrop: 0.05, PCut: 0.02, PReadCut: 0.02})
+}
 
-func runFleetSmoke(t *testing.T, cdc Codec) {
+// TestFleetSmokeBinaryV2 runs the smoke under duplicated writes and
+// refused dials, where TestFleetSmoke drops, cuts and loses acks. A
+// duplicated write repeats a whole v2 batch on the same live connection,
+// so the coordinator must dedup its data frames and absorb its repeated
+// telemetry frames while the exposition stays as TestFleetSmoke checks.
+func TestFleetSmokeBinaryV2(t *testing.T) {
+	runFleetSmoke(t, chaos.Config{Seed: 42, PDup: 0.1, PDialFail: 0.1})
+}
+
+func runFleetSmoke(t *testing.T, faults chaos.Config) {
 	const sites = 2
 	const rowsPerSite = 200
 
@@ -40,7 +50,7 @@ func runFleetSmoke(t *testing.T, cdc Codec) {
 	go coord.Serve(ln)
 	defer coord.Close()
 
-	inj := chaos.New(chaos.Config{Seed: 42, PDrop: 0.05, PCut: 0.02, PReadCut: 0.02})
+	inj := chaos.New(faults)
 	addr := ln.Addr().String()
 
 	type site struct {
@@ -51,9 +61,9 @@ func runFleetSmoke(t *testing.T, cdc Codec) {
 	var fleetSites [sites]*site
 	for i := 0; i < sites; i++ {
 		s := &site{}
-		sender, err := DialFunc(inj.Dial(func() (io.WriteCloser, error) {
+		sender, err := DialFunc(inj.Dial(func() (io.ReadWriteCloser, error) {
 			return net.DialTimeout("tcp", addr, time.Second)
-		}), WithCodec(cdc))
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,6 +112,9 @@ func runFleetSmoke(t *testing.T, cdc Codec) {
 		if got := coord.SumOf(stream); got != rowsPerSite {
 			t.Fatalf("stream %s sum = %v, want %d (chaos broke exactly-once)", stream, got, rowsPerSite)
 		}
+	}
+	if st := inj.Stats(); st.Drops+st.Cuts+st.Dups+st.ReadCuts+st.DialFails == 0 {
+		t.Fatalf("no fault injected (stats %+v); the smoke proved nothing", st)
 	}
 	// One final frame per site so the fleet sees the finished counters.
 	for i := 0; i < sites; i++ {

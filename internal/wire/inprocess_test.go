@@ -56,8 +56,8 @@ func inProcessSoak(t *testing.T, proto string) ([]float64, float64) {
 
 // TestChaosNetworkedMatchesInProcess is the differential test tying the
 // networked sites to package core: the same seeded workload, run over
-// loopback TCP into a Coordinator (both codecs, fault-free and under the
-// seeded chaos injector with a mid-stream crash and restore of site 0)
+// loopback TCP into a Coordinator (fault-free and under the seeded chaos
+// injector with a mid-stream crash and restore of site 0)
 // and run in process through the core trackers, must give a bit-identical
 // Ĉ for DA1, DA2 and DA2-C and a bit-identical SUM estimate. The soak
 // harness serializes delivery in row order, so the coordinator applies
@@ -68,30 +68,28 @@ func TestChaosNetworkedMatchesInProcess(t *testing.T) {
 	}
 	for _, proto := range []string{"da1", "da2", "da2c"} {
 		want, wantSum := inProcessSoak(t, proto)
-		for _, cdc := range []Codec{Gob, BinaryV2} {
-			for _, faults := range []bool{false, true} {
-				var inj *chaos.Injector
-				if faults {
-					inj = soakInjector()
+		for _, faults := range []bool{false, true} {
+			var inj *chaos.Injector
+			if faults {
+				inj = soakInjector()
+			}
+			got := runSoak(t, proto, inj, faults, true)
+			for i := range want {
+				if math.Float64bits(got.chat[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s chaos=%v: Ĉ[%d] = %v over the wire, %v in process",
+						proto, faults, i, got.chat[i], want[i])
 				}
-				got := runSoak(t, proto, inj, faults, cdc, true)
-				for i := range want {
-					if math.Float64bits(got.chat[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%s chaos=%v: Ĉ[%d] = %v over the wire, %v in process",
-							proto, cdc, faults, i, got.chat[i], want[i])
-					}
-				}
-				if math.Float64bits(got.sum) != math.Float64bits(wantSum) {
-					t.Fatalf("%s/%s chaos=%v: SUM estimate %v over the wire, %v in process",
-						proto, cdc, faults, got.sum, wantSum)
-				}
-				if got.cm.BadMsgs != 0 {
-					t.Fatalf("%s/%s chaos=%v: %d frames rejected", proto, cdc, faults, got.cm.BadMsgs)
-				}
-				if faults {
-					if st := inj.Stats(); st.Drops+st.Cuts+st.Dups+st.ReadCuts+st.DialFails == 0 {
-						t.Fatalf("%s/%s: the injector drew no faults (stats %+v)", proto, cdc, st)
-					}
+			}
+			if math.Float64bits(got.sum) != math.Float64bits(wantSum) {
+				t.Fatalf("%s chaos=%v: SUM estimate %v over the wire, %v in process",
+					proto, faults, got.sum, wantSum)
+			}
+			if got.cm.BadMsgs != 0 {
+				t.Fatalf("%s chaos=%v: %d frames rejected", proto, faults, got.cm.BadMsgs)
+			}
+			if faults {
+				if st := inj.Stats(); st.Drops+st.Cuts+st.Dups+st.ReadCuts+st.DialFails == 0 {
+					t.Fatalf("%s: the injector drew no faults (stats %+v)", proto, st)
 				}
 			}
 		}

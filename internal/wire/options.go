@@ -10,6 +10,7 @@ import (
 
 	"distwindow/internal/obs"
 	"distwindow/internal/trace"
+	"distwindow/internal/wire/codec"
 )
 
 // This file is the transport construction API: NewSender/Dial/DialFunc
@@ -25,23 +26,17 @@ var ErrOptionUnsupported = errors.New("wire: option not supported by this transp
 type SenderOption func(*senderOptions) error
 
 type senderOptions struct {
-	codec     Codec
 	stream    string
 	res       *ResilienceConfig
 	resilient bool // the transport being built can honor WithResilience
 }
 
-// WithCodec selects the wire framing (Gob or BinaryV2). The default is
-// Gob — the frame format every coordinator understands; BinaryV2 needs a
-// codec-aware coordinator (see PROTOCOLS.md's negotiation matrix).
-func WithCodec(c Codec) SenderOption {
-	return func(o *senderOptions) error {
-		if c == nil {
-			return errors.New("wire: WithCodec(nil)")
-		}
-		o.codec = c
-		return nil
-	}
+// WithCodec is a no-op: every sender speaks binary v2, the only wire
+// framing.
+//
+// Deprecated: drop the option; binary v2 is the only framing.
+func WithCodec(codec.Codec) SenderOption {
+	return func(*senderOptions) error { return nil }
 }
 
 // WithStream sets the sender's default stream id: messages sent with an
@@ -92,7 +87,7 @@ func WithResilience(rc ResilienceConfig) SenderOption {
 }
 
 func applySenderOptions(resilient bool, opts []SenderOption) (senderOptions, error) {
-	o := senderOptions{codec: Gob, resilient: resilient}
+	o := senderOptions{resilient: resilient}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return o, err
@@ -102,21 +97,21 @@ func applySenderOptions(resilient bool, opts []SenderOption) (senderOptions, err
 }
 
 // NewSender wraps one established connection in a sender: every Send is
-// encoded in the configured codec (WithCodec, default Gob) and flushed
-// through immediately. Delivery is as reliable as the connection — for
+// encoded in the binary v2 framing, unsequenced, and flushed through
+// immediately. Delivery is as reliable as the connection — for
 // reconnect-and-replay semantics use Dial or DialFunc instead.
 func NewSender(conn io.WriteCloser, opts ...SenderOption) (*ConnSender, error) {
 	o, err := applySenderOptions(false, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ConnSender{enc: o.codec.NewEncoder(conn), conn: conn, stream: o.stream}, nil
+	return &ConnSender{enc: codec.BinaryV2.NewEncoder(conn), conn: conn, stream: o.stream}, nil
 }
 
 // Dial returns a resilient sender that (re)dials addr over TCP,
 // delivering exactly-once via the seq/ack/replay machinery, with backoff
 // defaults of 50ms base and 5s cap and a time-seeded dial jitter. Options:
-// WithCodec, WithStream, WithResilience.
+// WithStream, WithResilience.
 func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
@@ -131,7 +126,7 @@ func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		now:         time.Now,
 	}
-	s.dial = func() (io.WriteCloser, error) {
+	s.dial = func() (io.ReadWriteCloser, error) {
 		return net.DialTimeout("tcp", addr, s.DialTimeout)
 	}
 	configureResilient(s, o)
@@ -139,12 +134,12 @@ func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 }
 
 // DialFunc is Dial over an arbitrary dial seam — fault-injection
-// wrappers (package chaos), in-process pipes, tests. The returned conn's
-// capabilities pick the delivery mode: an io.Reader gets the
-// acknowledged path, a bare io.WriteCloser the retire-on-write one.
-// Backoff starts disabled (set ResilienceConfig.BackoffBase to enable it)
-// and the dial jitter is seeded with 1.
-func DialFunc(dial func() (io.WriteCloser, error), opts ...SenderOption) (*ResilientSender, error) {
+// wrappers (package chaos), in-process pipes, tests. The dialed
+// connection must carry the coordinator's acks back, so it is an
+// io.ReadWriteCloser. Backoff starts disabled (set
+// ResilienceConfig.BackoffBase to enable it) and the dial jitter is
+// seeded with 1.
+func DialFunc(dial func() (io.ReadWriteCloser, error), opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
 		return nil, err
@@ -161,7 +156,6 @@ func DialFunc(dial func() (io.WriteCloser, error), opts ...SenderOption) (*Resil
 }
 
 func configureResilient(s *ResilientSender, o senderOptions) {
-	s.codec = o.codec
 	s.stream = o.stream
 	if rc := o.res; rc != nil {
 		if rc.DialTimeout > 0 {

@@ -17,16 +17,13 @@ func TestWithResilienceUnsupportedOnNewSender(t *testing.T) {
 	if !errors.Is(err, ErrOptionUnsupported) {
 		t.Fatalf("NewSender(WithResilience) = %v, want ErrOptionUnsupported", err)
 	}
-	if _, err := NewSender(nopCloser{&sink}, WithCodec(nil)); err == nil {
-		t.Fatal("WithCodec(nil) accepted")
-	}
 }
 
 // TestWithStreamStampsBeforeSequencing pins the ordering subtlety: the
 // default-stream stamp must land before the sequence stamp, because each
 // stream owns its own sequence space.
 func TestWithStreamStampsBeforeSequencing(t *testing.T) {
-	s, err := DialFunc(func() (io.WriteCloser, error) {
+	s, err := DialFunc(func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("down")
 	}, WithStream("alpha"))
 	if err != nil {
@@ -52,9 +49,12 @@ func TestWithStreamStampsBeforeSequencing(t *testing.T) {
 	}
 }
 
+// TestNewSenderWithCodecAndStream: a NewSender writes binary v2 stamped
+// with its default stream; the deprecated WithCodec is accepted and
+// changes nothing.
 func TestNewSenderWithCodecAndStream(t *testing.T) {
 	var sink bytes.Buffer
-	s, err := NewSender(nopCloser{&sink}, WithCodec(BinaryV2), WithStream("prices"))
+	s, err := NewSender(nopCloser{&sink}, WithCodec(codec.BinaryV2), WithStream("prices"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestNewSenderWithCodecAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cdc != BinaryV2 {
-		t.Fatalf("sniffed %v, want v2", cdc)
+	if cdc != codec.BinaryV2 {
+		t.Fatalf("Detect returned %v, want BinaryV2", cdc)
 	}
 	var m Msg
 	if err := dec.DecodeMsg(&m); err != nil {
@@ -78,7 +78,7 @@ func TestNewSenderWithCodecAndStream(t *testing.T) {
 }
 
 func TestWithResilienceFields(t *testing.T) {
-	s, err := DialFunc(func() (io.WriteCloser, error) {
+	s, err := DialFunc(func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("down")
 	}, WithResilience(ResilienceConfig{
 		DialTimeout:    3 * time.Second,
@@ -97,37 +97,13 @@ func TestWithResilienceFields(t *testing.T) {
 		t.Fatalf("resilience config not applied: %+v", s)
 	}
 	// MaxInflight 0 keeps the default window.
-	s2, err := DialFunc(func() (io.WriteCloser, error) { return nil, errors.New("down") },
+	s2, err := DialFunc(func() (io.ReadWriteCloser, error) { return nil, errors.New("down") },
 		WithResilience(ResilienceConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.MaxInflight != DefaultMaxInflight {
 		t.Fatalf("zero MaxInflight overrode the default: %d", s2.MaxInflight)
-	}
-}
-
-// TestDefaultCodecIsGob: senders built without WithCodec speak gob, the
-// framing every coordinator understands.
-func TestDefaultCodecIsGob(t *testing.T) {
-	var sink bytes.Buffer
-	cs, err := NewSender(nopCloser{&sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Send(Msg{Site: 1, Kind: SumDelta, Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, cdc, err := codec.Detect(&sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdc != Gob {
-		t.Fatalf("NewSender writes %v, want gob", cdc)
-	}
-	rs := mustDialFunc(t, func() (io.WriteCloser, error) { return nil, errors.New("down") })
-	if rs.cdc() != Gob {
-		t.Fatalf("DialFunc codec = %v, want gob", rs.cdc())
 	}
 }
 

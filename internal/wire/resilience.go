@@ -27,18 +27,13 @@ func (e *PendingError) Error() string {
 	return fmt.Sprintf("wire: close would lose %d undelivered messages (Flush first, or set DiscardPending)", e.Pending)
 }
 
-// ResilientSender wraps dial-on-demand reconnection around a gob stream:
-// every message is stamped with a sequence number and held in an ordered
-// backlog until the coordinator acknowledges it, so a connection that
-// dies at ANY point — before the write, during it, or after the bytes
-// reached the kernel but never the coordinator — loses nothing: the next
-// connection replays the unacknowledged backlog in order, and the
+// ResilientSender wraps dial-on-demand reconnection around a binary v2
+// stream: every message is stamped with a sequence number and held in an
+// ordered backlog until the coordinator acknowledges it, so a connection
+// that dies at ANY point — before the write, during it, or after the
+// bytes reached the kernel but never the coordinator — loses nothing: the
+// next connection replays the unacknowledged backlog in order, and the
 // coordinator's (Site, Seq) dedup makes the replay exactly-once.
-//
-// Transports that cannot carry acks (a write-only io.WriteCloser from the
-// dial seam) degrade to the pre-ack behaviour: a message is retired as
-// soon as its encode succeeds, which is at-most-once across connection
-// death. Real net.Conns always get the acknowledged path.
 //
 // While the coordinator is unreachable, dial attempts back off
 // exponentially with jitter between BackoffBase and BackoffMax instead of
@@ -51,15 +46,14 @@ type ResilientSender struct {
 	// unlimited. When the backlog is full, Send reports an error instead
 	// of dropping silently.
 	MaxBacklog int
-	// MaxInflight is the flow-control window on the acknowledged path: at
-	// most this many unacknowledged frames are written per connection
-	// before the sender waits for acks to retire the front. Without a
-	// window, replaying a deep backlog only makes progress if one
-	// connection survives the ENTIRE replay plus an ack round-trip — on a
-	// lossy link that probability decays geometrically with backlog depth,
-	// and retirement stalls forever while replay traffic burns. 0 means
-	// unlimited (the constructors default it to DefaultMaxInflight).
-	// Ignored on write-only transports, which retire on write.
+	// MaxInflight is the flow-control window: at most this many
+	// unacknowledged frames are written per connection before the sender
+	// waits for acks to retire the front. Without a window, replaying a
+	// deep backlog only makes progress if one connection survives the
+	// ENTIRE replay plus an ack round-trip — on a lossy link that
+	// probability decays geometrically with backlog depth, and retirement
+	// stalls forever while replay traffic burns. 0 means unlimited (the
+	// constructors default it to DefaultMaxInflight).
 	MaxInflight int
 	// BackoffBase and BackoffMax bound the exponential backoff between
 	// failed dial attempts. BackoffBase <= 0 disables backoff (every Send
@@ -69,16 +63,13 @@ type ResilientSender struct {
 	// of returning a *PendingError.
 	DiscardPending bool
 
-	// codec is the wire framing Send speaks (Gob unless WithCodec chose
-	// BinaryV2); stream is the default stream id stamped onto messages
-	// sent without one (WithStream). Set at construction, read-only after.
-	codec  Codec
+	// stream is the default stream id stamped onto messages sent without
+	// one (WithStream). Set at construction, read-only after.
 	stream string
 
 	mu      sync.Mutex
-	conn    io.WriteCloser
+	conn    io.ReadWriteCloser
 	enc     codec.Encoder
-	ackMode bool   // current conn carries acks (it implements io.Reader)
 	gen     uint64 // connection generation; stale ack readers exit on mismatch
 	backlog []Msg  // unacknowledged messages, per-stream seq order
 	sent    int    // backlog prefix already written on the current conn
@@ -90,7 +81,7 @@ type ResilientSender struct {
 	streamSeq     map[string]uint64
 	maxSent       uint64            // highest default-stream seq ever written (counts replays)
 	maxSentStream map[string]uint64 // per-stream counterparts of maxSent
-	dial          func() (io.WriteCloser, error)
+	dial          func() (io.ReadWriteCloser, error)
 	rng           *rand.Rand
 	backoff       time.Duration
 	nextDial      time.Time
@@ -184,10 +175,9 @@ func (s *ResilientSender) SendBestEffort(m Msg) error {
 }
 
 // Flush attempts to deliver everything buffered; it returns the number of
-// messages still pending. On an acknowledged transport, pending counts
-// unacknowledged messages — a frame already written may remain pending
-// until its ack arrives, so poll Flush (or use FlushWait) rather than
-// expecting one call to reach zero.
+// messages still pending. Pending counts unacknowledged messages — a
+// frame already written remains pending until its ack arrives, so poll
+// Flush (or use FlushWait) rather than expecting one call to reach zero.
 func (s *ResilientSender) Flush() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,13 +200,12 @@ func (s *ResilientSender) FlushWait(timeout time.Duration) int {
 	}
 }
 
-// drainLocked sends as much backlog as the current connection accepts,
-// dialing if needed (subject to the backoff window). Frames are encoded
-// into the codec's batch buffer and flushed in one writev-style Write at
-// the end of the drain, so a deep backlog replay costs one syscall per
-// batch, not per frame (the gob codec writes through per frame — its
-// stream format has no coalescing seam). On error the connection is
-// dropped and the rest stays buffered for the next attempt.
+// drainLocked sends as much backlog as the current connection and the
+// flow-control window accept, dialing if needed (subject to the backoff
+// window). Frames are encoded into the codec's batch buffer and flushed in
+// one writev-style Write at the end of the drain, so a deep backlog
+// replay costs one syscall per batch, not per frame. On error the
+// connection is dropped and the rest stays buffered for the next attempt.
 func (s *ResilientSender) drainLocked() {
 	if s.conn == nil {
 		if s.backoff > 0 && s.now().Before(s.nextDial) {
@@ -231,18 +220,13 @@ func (s *ResilientSender) drainLocked() {
 		}
 		s.backoff = 0
 		s.conn = conn
-		s.enc = s.cdc().NewEncoder(conn)
+		s.enc = codec.BinaryV2.NewEncoder(conn)
 		s.sent = 0
 		s.gen++
-		if r, ok := conn.(io.Reader); ok {
-			s.ackMode = true
-			go s.readAcks(r, conn, s.gen)
-		} else {
-			s.ackMode = false
-		}
+		go s.readAcks(conn, s.gen)
 	}
 	for s.sent < len(s.backlog) {
-		if s.ackMode && s.MaxInflight > 0 && s.sent >= s.MaxInflight {
+		if s.MaxInflight > 0 && s.sent >= s.MaxInflight {
 			// Window full: stop and let acks retire the front (readAcks
 			// decrements sent). The next Send/Flush writes the next batch.
 			break
@@ -269,26 +253,11 @@ func (s *ResilientSender) drainLocked() {
 				s.maxSentStream[m.StreamID] = m.Seq
 			}
 		}
-		if s.ackMode {
-			s.sent++
-		} else {
-			// Write-only transport: no acks will ever arrive, so retire on
-			// write as the pre-ack sender did (at-most-once delivery).
-			s.backlog = s.backlog[1:]
-		}
+		s.sent++
 	}
 	if err := s.enc.Flush(); err != nil {
 		s.dropConnLocked()
 	}
-}
-
-// cdc returns the sender's codec, defaulting to Gob so zero-value and
-// test-constructed senders keep the legacy framing.
-func (s *ResilientSender) cdc() Codec {
-	if s.codec == nil {
-		return Gob
-	}
-	return s.codec
 }
 
 // bumpBackoffLocked doubles the backoff (capped) and schedules the next
@@ -332,14 +301,11 @@ func (s *ResilientSender) dropConnLocked() {
 }
 
 // readAcks retires acknowledged backlog prefixes for one connection
-// generation. A decode error (the connection died, or the peer is an old
-// coordinator closing without acks) drops the connection so the next
-// Send/Flush redials and replays.
-func (s *ResilientSender) readAcks(r io.Reader, conn io.WriteCloser, gen uint64) {
-	dec := s.cdc().NewDecoder(r)
-	if rel, ok := dec.(interface{ Release() }); ok {
-		defer rel.Release()
-	}
+// generation. A decode error (the connection died, or the peer closed it)
+// drops the connection so the next Send/Flush redials and replays.
+func (s *ResilientSender) readAcks(conn io.ReadWriteCloser, gen uint64) {
+	dec := codec.BinaryV2.NewDecoder(conn)
+	defer dec.Release()
 	for {
 		var a Ack
 		if err := dec.DecodeAck(&a); err != nil {
@@ -357,12 +323,12 @@ func (s *ResilientSender) readAcks(r io.Reader, conn io.WriteCloser, gen uint64)
 		}
 		s.retireLocked(a)
 		if a.Nack && s.conn == conn {
-			// The coordinator lost a frame (CRC-rejected under the binary
-			// framing) and asks for a rewind: everything still in the
-			// backlog past the ack horizon must be re-sent on this
-			// connection. Resetting the written-prefix cursor makes the
-			// next drain replay the whole remaining backlog — the dedup
-			// machinery absorbs the frames the coordinator did consume.
+			// The coordinator lost a frame (CRC-rejected) and asks for a
+			// rewind: everything still in the backlog past the ack horizon
+			// must be re-sent on this connection. Resetting the
+			// written-prefix cursor makes the next drain replay the whole
+			// remaining backlog — the dedup machinery absorbs the frames
+			// the coordinator did consume.
 			s.sent = 0
 			s.drainLocked()
 		}

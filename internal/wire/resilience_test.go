@@ -14,7 +14,7 @@ import (
 )
 
 // mustDialFunc builds a DialFunc sender, failing the test on error.
-func mustDialFunc(t *testing.T, dial func() (io.WriteCloser, error), opts ...SenderOption) *ResilientSender {
+func mustDialFunc(t *testing.T, dial func() (io.ReadWriteCloser, error), opts ...SenderOption) *ResilientSender {
 	t.Helper()
 	s, err := DialFunc(dial, opts...)
 	if err != nil {
@@ -23,9 +23,10 @@ func mustDialFunc(t *testing.T, dial func() (io.WriteCloser, error), opts ...Sen
 	return s
 }
 
-// flakyConn fails after a fixed number of writes.
+// flakyConn fails after a fixed number of writes; reads (the
+// coordinator's acks) pass through.
 type flakyConn struct {
-	inner     io.WriteCloser
+	net.Conn
 	remaining int
 }
 
@@ -34,10 +35,8 @@ func (f *flakyConn) Write(p []byte) (int, error) {
 		return 0, errors.New("flaky: connection dropped")
 	}
 	f.remaining--
-	return f.inner.Write(p)
+	return f.Conn.Write(p)
 }
-
-func (f *flakyConn) Close() error { return f.inner.Close() }
 
 func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -49,16 +48,16 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 	go coord.Serve(ln)
 
 	dials := 0
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		dials++
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			return nil, err
 		}
-		// First connection dies after 2 writes (gob sends type info +
-		// messages as separate writes, so this drops mid-stream).
+		// First connection dies after 2 writes (one Send's batch each),
+		// so it drops mid-stream.
 		if dials == 1 {
-			return &flakyConn{inner: conn, remaining: 2}, nil
+			return &flakyConn{Conn: conn, remaining: 2}, nil
 		}
 		return conn, nil
 	})
@@ -94,7 +93,7 @@ func TestResilientSenderReplaysBacklogAfterReconnect(t *testing.T) {
 }
 
 func TestResilientSenderBacklogLimit(t *testing.T) {
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		return nil, errors.New("unreachable")
 	})
 	s.MaxBacklog = 3
@@ -113,13 +112,14 @@ func TestResilientSenderBacklogLimit(t *testing.T) {
 
 func TestResilientSenderBuffersWhileDown(t *testing.T) {
 	up := false
-	var sink bytes.Buffer
-	s := mustDialFunc(t, func() (io.WriteCloser, error) {
+	c := NewCoordinator(2)
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
 		if !up {
 			return nil, errors.New("down")
 		}
-		return nopCloser{&sink}, nil
+		return pipeTo(c), nil
 	})
+	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
 			t.Fatal(err)
@@ -129,12 +129,20 @@ func TestResilientSenderBuffersWhileDown(t *testing.T) {
 		t.Fatalf("Pending = %d, want 5 while down", s.Pending())
 	}
 	up = true
-	if left := s.Flush(); left != 0 {
-		t.Fatalf("Flush left %d", left)
+	if left := s.FlushWait(5 * time.Second); left != 0 {
+		t.Fatalf("FlushWait left %d", left)
 	}
-	if sink.Len() == 0 {
-		t.Fatal("nothing written after recovery")
+	if c.Sum() != 5 {
+		t.Fatalf("Sum = %v after recovery, want 5", c.Sum())
 	}
+}
+
+// pipeTo returns the site end of an in-process connection whose other
+// end c serves, acks included.
+func pipeTo(c *Coordinator) net.Conn {
+	srv, cli := net.Pipe()
+	go func() { _ = c.HandleConn(srv) }()
+	return cli
 }
 
 type nopCloser struct{ io.Writer }

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io"
 	"math"
 	"math/rand"
@@ -13,91 +11,6 @@ import (
 	"distwindow/internal/chaos"
 	"distwindow/mat"
 )
-
-// preStreamMsg/preStreamAck mirror the pre-StreamID wire structs field for
-// field. Gob matches struct fields by name, so these stand in for an
-// old-version peer: encoding one produces exactly the bytes an old
-// sender would put on the wire, and decoding into one shows what an old
-// coordinator sees of a new frame.
-type preStreamMsg struct {
-	Site        int
-	Kind        Kind
-	T           int64
-	V           []float64
-	Delta       float64
-	Trace, Span uint64
-	Seq         uint64
-}
-
-type preStreamAck struct {
-	Seq uint64
-}
-
-// TestMsgGobMixedVersion pins the StreamID compatibility contract in
-// both directions: old frames decode at a new coordinator onto the
-// default stream, and new frames decode at an old coordinator with the
-// stream tag silently dropped. Same for acks.
-func TestMsgGobMixedVersion(t *testing.T) {
-	// Old sender → new coordinator.
-	var buf bytes.Buffer
-	old := preStreamMsg{Site: 3, Kind: DirectionAdd, T: 77, V: []float64{1, 2}, Delta: 0.5, Seq: 9}
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var got Msg
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("new side cannot decode legacy frame: %v", err)
-	}
-	if got.StreamID != "" {
-		t.Fatalf("legacy frame decoded with StreamID %q, want default", got.StreamID)
-	}
-	if got.Site != 3 || got.Seq != 9 || got.T != 77 || len(got.V) != 2 {
-		t.Fatalf("legacy frame fields mangled: %+v", got)
-	}
-
-	// New sender → old coordinator, non-default stream: the tag is
-	// dropped, everything else survives.
-	buf.Reset()
-	niu := Msg{Site: 1, Kind: SumDelta, T: 5, Delta: 2.5, Seq: 4, StreamID: "metrics-eu"}
-	if err := gob.NewEncoder(&buf).Encode(niu); err != nil {
-		t.Fatal(err)
-	}
-	var oldGot preStreamMsg
-	if err := gob.NewDecoder(&buf).Decode(&oldGot); err != nil {
-		t.Fatalf("old side cannot decode stream-tagged frame: %v", err)
-	}
-	if oldGot.Site != 1 || oldGot.Seq != 4 || oldGot.Delta != 2.5 {
-		t.Fatalf("stream-tagged frame fields mangled at old decoder: %+v", oldGot)
-	}
-
-	// Old coordinator → new sender: an untagged ack decodes with Stream
-	// "" and retires only the default stream.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(preStreamAck{Seq: 12}); err != nil {
-		t.Fatal(err)
-	}
-	var ack Ack
-	if err := gob.NewDecoder(&buf).Decode(&ack); err != nil {
-		t.Fatalf("new side cannot decode legacy ack: %v", err)
-	}
-	if ack.Seq != 12 || ack.Stream != "" {
-		t.Fatalf("legacy ack decoded as %+v", ack)
-	}
-
-	// New coordinator → old sender: the stream tag is dropped; the old
-	// sender sees a plain cumulative ack.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(Ack{Seq: 30, Stream: "metrics-eu"}); err != nil {
-		t.Fatal(err)
-	}
-	var oldAck preStreamAck
-	if err := gob.NewDecoder(&buf).Decode(&oldAck); err != nil {
-		t.Fatalf("old side cannot decode stream-tagged ack: %v", err)
-	}
-	if oldAck.Seq != 30 {
-		t.Fatalf("stream-tagged ack mangled at old decoder: %+v", oldAck)
-	}
-}
 
 // captureSender records sent frames.
 type captureSender struct{ msgs []Msg }
@@ -181,17 +94,24 @@ func TestCoordinatorMultiStream(t *testing.T) {
 // still come out bit-identical to the fault-free run — per-stream
 // sequence spaces and per-stream cumulative acks doing their job while
 // frames from other streams interleave on the same backlog.
-func TestChaosSoakMultiStream(t *testing.T)         { runChaosSoakMultiStream(t, Gob) }
-func TestChaosSoakMultiStreamBinaryV2(t *testing.T) { runChaosSoakMultiStream(t, BinaryV2) }
+func TestChaosSoakMultiStream(t *testing.T) { runChaosSoakMultiStream(t, false) }
 
-func runChaosSoakMultiStream(t *testing.T, cdc Codec) {
+// TestChaosSoakMultiStreamBinaryV2 runs the multiplexed soak under the
+// cut mix: a torn v2 frame on the shared connection must cost no stream
+// a delta.
+func TestChaosSoakMultiStreamBinaryV2(t *testing.T) { runChaosSoakMultiStream(t, true) }
+
+func runChaosSoakMultiStream(t *testing.T, cuts bool) {
 	if testing.Short() {
 		t.Skip("chaos soak is a multi-second TCP test")
 	}
 	streams := []string{"", "alpha", "beta"}
-	clean := runMuxSoak(t, streams, nil, cdc)
+	clean := runMuxSoak(t, streams, nil)
 	inj := soakInjector()
-	faulty := runMuxSoak(t, streams, inj, cdc)
+	if cuts {
+		inj = soakCutInjector()
+	}
+	faulty := runMuxSoak(t, streams, inj)
 
 	for k, id := range streams {
 		if len(clean[k]) != len(faulty[k]) {
@@ -204,15 +124,14 @@ func runChaosSoakMultiStream(t *testing.T, cdc Codec) {
 			}
 		}
 	}
-	st := inj.Stats()
-	if st.Drops == 0 || st.Cuts+st.Dups+st.ReadCuts+st.DialFails == 0 {
+	if st := inj.Stats(); !soakMixDrawn(st, cuts) {
 		t.Fatalf("chaos fault mix too thin (stats %+v); the soak proved nothing", st)
 	}
 }
 
 // runMuxSoak streams a seeded workload for each logical stream through
 // ONE ResilientSender per site and returns each stream's final Ĉ.
-func runMuxSoak(t *testing.T, streams []string, inj *chaos.Injector, cdc Codec) [][]float64 {
+func runMuxSoak(t *testing.T, streams []string, inj *chaos.Injector) [][]float64 {
 	t.Helper()
 	const (
 		d     = 4
@@ -233,13 +152,13 @@ func runMuxSoak(t *testing.T, streams []string, inj *chaos.Injector, cdc Codec) 
 
 	senders := make([]*ResilientSender, sites)
 	for i := range senders {
-		dial := func() (io.WriteCloser, error) {
+		dial := func() (io.ReadWriteCloser, error) {
 			return net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
 		}
 		if inj != nil {
 			dial = inj.Dial(dial)
 		}
-		s, err := DialFunc(dial, WithCodec(cdc), WithResilience(ResilienceConfig{
+		s, err := DialFunc(dial, WithResilience(ResilienceConfig{
 			BackoffBase: time.Millisecond,
 			BackoffMax:  8 * time.Millisecond,
 			JitterSeed:  int64(i) + 1,

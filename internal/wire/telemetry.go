@@ -90,7 +90,7 @@ type BestEffortSender interface {
 // send seam: each frame is wrapped in a Telemetry message stamped with
 // the frame's site and stream. When out supports best-effort delivery
 // the frame bypasses the seq/ack space entirely; otherwise it is sent as
-// an unsequenced legacy frame (Loopback, plain ConnSender).
+// an unsequenced frame (Loopback, plain ConnSender).
 func TelemetrySender(out Sender) func(telemetry.Frame) error {
 	return func(fr telemetry.Frame) error {
 		m := Msg{

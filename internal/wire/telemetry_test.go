@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -15,75 +13,8 @@ import (
 
 	"distwindow/internal/obs"
 	"distwindow/internal/obs/telemetry"
+	"distwindow/internal/wire/codec"
 )
-
-// preTelemetryMsg mirrors the pre-telemetry wire Msg field for field —
-// the stand-in for an old-version peer, following the preStreamMsg
-// pattern: gob matches fields by name, so decoding into this shows what
-// an old coordinator sees of a telemetry-bearing stream.
-type preTelemetryMsg struct {
-	Site        int
-	Kind        Kind
-	T           int64
-	V           []float64
-	Delta       float64
-	Trace, Span uint64
-	Seq         uint64
-	StreamID    string
-}
-
-// TestTelemetryGobMixedVersion pins the telemetry compatibility
-// contract: a telemetry frame decodes at an old coordinator — the Tele
-// field skipped, the unknown kind rejected — without desynchronizing the
-// gob stream, so the data frames around it still apply.
-func TestTelemetryGobMixedVersion(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-
-	// A new sender interleaves data and telemetry on one stream.
-	data1 := Msg{Site: 0, Kind: SumDelta, Delta: 1.5, Seq: 1}
-	tele := Msg{Site: 0, Kind: Telemetry, Tele: &telemetry.Frame{Site: 0, Rows: 42, Proto: "SUM"}}
-	data2 := Msg{Site: 0, Kind: SumDelta, Delta: 2.5, Seq: 2}
-	for _, m := range []Msg{data1, tele, data2} {
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The old coordinator decodes all three frames — no stream
-	// desynchronization from the unknown Tele field.
-	dec := gob.NewDecoder(&buf)
-	var got []preTelemetryMsg
-	for i := 0; i < 3; i++ {
-		var m preTelemetryMsg
-		if err := dec.Decode(&m); err != nil {
-			t.Fatalf("old coordinator failed on frame %d: %v", i, err)
-		}
-		got = append(got, m)
-	}
-	if got[0].Delta != 1.5 || got[2].Delta != 2.5 {
-		t.Fatalf("data frames mangled around telemetry: %+v", got)
-	}
-	// The telemetry frame surfaces as an unknown kind the old Apply
-	// rejects (BadMsgs) without dropping the connection.
-	if got[1].Kind != Telemetry {
-		t.Fatalf("telemetry frame kind = %d", got[1].Kind)
-	}
-
-	// And the reverse: an old sender's frames decode at a new coordinator
-	// with Tele nil.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(preTelemetryMsg{Site: 1, Kind: SumDelta, Delta: 3, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var niu Msg
-	if err := gob.NewDecoder(&buf).Decode(&niu); err != nil {
-		t.Fatalf("new side cannot decode legacy frame: %v", err)
-	}
-	if niu.Tele != nil || niu.Delta != 3 {
-		t.Fatalf("legacy frame decoded as %+v", niu)
-	}
-}
 
 // TestOldCoordinatorIgnoresTelemetryCleanly drives a telemetry frame
 // through a coordinator that has NOT enabled telemetry and checks the
@@ -133,16 +64,16 @@ func TestTelemetryOutsideSeqSpace(t *testing.T) {
 		srv, cli := net.Pipe()
 		done := make(chan struct{})
 		go func() { defer close(done); _ = c.HandleConn(srv) }()
-		enc := gob.NewEncoder(cli)
+		enc := codec.BinaryV2.NewEncoder(cli)
 		ackDone := make(chan struct{})
 		allAcked := make(chan struct{})
 		go func() { // drain acks so the pipe never blocks
 			defer close(ackDone)
-			dec := gob.NewDecoder(cli)
+			dec := codec.BinaryV2.NewDecoder(cli)
 			n := 0
 			for {
 				var a Ack
-				if dec.Decode(&a) != nil {
+				if dec.DecodeAck(&a) != nil {
 					return
 				}
 				if n++; n == 20 {
@@ -151,14 +82,17 @@ func TestTelemetryOutsideSeqSpace(t *testing.T) {
 			}
 		}()
 		for i := 1; i <= 20; i++ {
-			if err := enc.Encode(Msg{Site: 0, Kind: SumDelta, Delta: float64(i), Seq: uint64(i)}); err != nil {
+			if err := enc.EncodeMsg(&Msg{Site: 0, Kind: SumDelta, Delta: float64(i), Seq: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 			if withTele && i%5 == 0 {
 				fr := telemetry.Frame{Site: 0, Rows: int64(i)}
-				if err := enc.Encode(Msg{Site: 0, Kind: Telemetry, Tele: &fr}); err != nil {
+				if err := enc.EncodeMsg(&Msg{Site: 0, Kind: Telemetry, Tele: &fr}); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		// Wait for every data frame's ack before closing, so shutdown
@@ -190,7 +124,7 @@ func TestSendBestEffortBypassesBacklog(t *testing.T) {
 	var mu sync.Mutex
 	var conns []net.Conn
 	dead := false
-	dial := func() (io.WriteCloser, error) {
+	dial := func() (io.ReadWriteCloser, error) {
 		mu.Lock()
 		isDead := dead
 		mu.Unlock()

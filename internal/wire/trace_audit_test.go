@@ -2,88 +2,30 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"distwindow/internal/audit"
 	"distwindow/internal/trace"
-	"distwindow/mat"
+	"distwindow/internal/wire/codec"
 )
-
-// legacyMsg is the pre-trace wire frame: Msg as it was before the Trace
-// and Span fields existed. gob matches struct fields by name, so frames
-// in this shape must keep decoding at a new coordinator (and new frames
-// at an old coordinator).
-type legacyMsg struct {
-	Site  int
-	Kind  Kind
-	T     int64
-	V     []float64
-	Delta float64
-}
-
-func TestGobBackwardCompatOldSenderNewCoordinator(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	frames := []legacyMsg{
-		{Site: 0, Kind: DirectionAdd, T: 1, V: []float64{3, 4}},
-		{Site: 1, Kind: SumDelta, T: 2, Delta: 7},
-	}
-	for _, f := range frames {
-		if err := enc.Encode(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	c := NewCoordinator(2)
-	if err := c.HandleConn(&buf); err != nil {
-		t.Fatalf("HandleConn on legacy stream: %v", err)
-	}
-	cm := c.Metrics()
-	if cm.Msgs != 2 || cm.BadMsgs != 0 {
-		t.Fatalf("Msgs=%d BadMsgs=%d, want 2 applied and 0 rejected", cm.Msgs, cm.BadMsgs)
-	}
-	if got := mat.FrobSq(c.Sketch()); got < 24.9 || got > 25.1 {
-		t.Fatalf("sketch mass %v, want 25 from the legacy direction", got)
-	}
-	if c.Sum() != 7 {
-		t.Fatalf("Sum = %v, want 7 from the legacy delta", c.Sum())
-	}
-}
-
-func TestGobForwardCompatNewSenderOldCoordinator(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Msg{
-		Site: 3, Kind: DirectionAdd, T: 9, V: []float64{1, 2},
-		Trace: 12345, Span: 678,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// An old coordinator decodes into the legacy shape; gob drops the
-	// trace fields it does not know.
-	var got legacyMsg
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("legacy decode of traced frame: %v", err)
-	}
-	if got.Site != 3 || got.Kind != DirectionAdd || got.T != 9 || len(got.V) != 2 {
-		t.Fatalf("legacy decode mangled the frame: %+v", got)
-	}
-}
 
 func TestHandleConnSurvivesMalformedFrames(t *testing.T) {
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	enc := codec.BinaryV2.NewEncoder(&buf)
 	for _, m := range []Msg{
 		{Site: 0, Kind: DirectionAdd, T: 1, V: []float64{1, 0}},
 		{Site: 0, Kind: DirectionAdd, T: 2, V: []float64{1, 2, 3}}, // wrong dimension
 		{Site: 0, Kind: Kind(99), T: 3},                            // unknown kind
 		{Site: 0, Kind: DirectionAdd, T: 4, V: []float64{0, 1}},
 	} {
-		if err := enc.Encode(m); err != nil {
+		if err := enc.EncodeMsg(&m); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
 	}
 
 	c := NewCoordinator(2)

@@ -7,11 +7,11 @@
 // coordinator folds them into its covariance estimate with the in-process
 // arithmetic and answers sketch queries concurrently.
 //
-// Frames travel in one of two codecs (package codec): the legacy
-// encoding/gob streams, or the binary v2 framing whose per-frame CRC
-// lets a corrupted stream resynchronize instead of dying. Senders pick
-// their codec (WithCodec); the coordinator detects it per connection
-// from the first byte, so v2 and gob sites mix freely on one listener.
+// Frames travel in the binary v2 framing (package codec), whose
+// per-frame CRC lets a corrupted stream resynchronize instead of dying.
+// It is the only wire framing: the coordinator refuses a connection whose
+// first byte is not the v2 magic, so sites and coordinator upgrade
+// together (PROTOCOLS.md, "Wire versioning").
 //
 // Only the one-way family is wired: its sites never wait for coordinator
 // responses, so a site is just an encoder over a persistent connection.
@@ -37,9 +37,8 @@ import (
 )
 
 // Msg is the single message type of the one-way protocols. The type
-// lives in the codec subpackage next to the framings that carry it; the
-// alias keeps this package's API (and the gob wire names) unchanged —
-// see codec.Msg for the field and compatibility documentation.
+// lives in the codec subpackage next to the framing that carries it; see
+// codec.Msg for the field documentation.
 type Msg = codec.Msg
 
 // Ack acknowledges consumed sequenced frames, cumulatively per stream;
@@ -58,22 +57,6 @@ const (
 	SumDelta        = codec.SumDelta
 	Telemetry       = codec.Telemetry
 )
-
-// Codec selects a wire framing for a sender (the coordinator detects the
-// codec per connection, no configuration needed). The two framings:
-// Gob, the legacy stream every release has spoken, and BinaryV2, the
-// hand-rolled little-endian framing with per-frame CRC, resynchronization
-// and frame coalescing. See PROTOCOLS.md for the negotiation matrix.
-type Codec = codec.Codec
-
-// Gob and BinaryV2 are the available wire framings, for WithCodec.
-var (
-	Gob      = codec.Gob
-	BinaryV2 = codec.BinaryV2
-)
-
-// CodecByName resolves a codec from its flag name ("gob", "v2").
-func CodecByName(name string) (Codec, bool) { return codec.ByName(name) }
 
 // Coordinator receives messages from any number of sites and maintains,
 // per logical stream, Ĉ = Σ Delta·vvᵀ (Delta = ±1 by Kind when a frame
@@ -182,7 +165,8 @@ func (c *Coordinator) est(stream string) *streamEst {
 	return e
 }
 
-// reject counts a malformed message and reports it to the sink.
+// reject counts a malformed message and reports it to the sink. Frames
+// whose sender is unknown (corrupt or undecodable) are reported as site -1.
 func (c *Coordinator) reject(m Msg) {
 	c.badMsgs.Inc()
 	if c.sink != nil {
@@ -436,7 +420,7 @@ type CoordinatorMetrics struct {
 	// message kind.
 	DirectionAdds, DirectionRemoves, SumDeltas int64
 	// BadMsgs counts rejected messages (dimension mismatch, unknown kind,
-	// non-finite value, corrupt frame).
+	// non-finite value, corrupt frame) and refused non-v2 connections.
 	BadMsgs int64
 	// DupMsgs counts sequenced frames dropped because their Seq was
 	// already consumed (replays after reconnect or site restart). Dups are
@@ -444,9 +428,9 @@ type CoordinatorMetrics struct {
 	DupMsgs int64
 	// AckedMsgs counts acknowledgements written back to sites.
 	AckedMsgs int64
-	// NackMsgs counts rewind requests sent after a corrupt frame on a
-	// binary v2 connection (each asks one stream's sender to replay its
-	// unacknowledged backlog). Always 0 on healthy links.
+	// NackMsgs counts rewind requests sent after a corrupt frame (each
+	// asks one stream's sender to replay its unacknowledged backlog).
+	// Always 0 on healthy links.
 	NackMsgs int64
 	// TelemetryFrames counts telemetry frames received (recorded into the
 	// fleet view when telemetry is enabled, discarded otherwise). Never
@@ -520,48 +504,51 @@ func (c *Coordinator) MetricsMux(opts ...obs.MuxOption) *http.ServeMux {
 	)
 }
 
-// HandleConn decodes messages from one connection until EOF or an
-// unrecoverable decode error, detecting the connection's codec (gob or
-// binary v2) from its first byte. A message the coordinator refuses to
+// HandleConn decodes binary v2 messages from one connection until EOF or
+// an unrecoverable decode error. A message the coordinator refuses to
 // apply (wrong dimension, unknown kind, NaN or ±Inf) is counted in
 // BadMsgs and reported to the sink, but does NOT end the connection: one
 // malformed frame must not drop a site whose stream is otherwise healthy.
 //
-// Corruption handling depends on the codec. A gob stream cannot
-// resynchronize after corruption, so a gob decode error still ends the
-// connection. On a binary v2 stream a frame rejected by CRC or structure
-// is counted in BadMsgs, reported as EvMsgRejected, and the decoder
-// resynchronizes at the next magic boundary — the connection survives.
-// Because the rejected frame may have carried a sequenced delta, the
-// coordinator then refuses to apply frames that would jump a sequence
-// gap and instead sends a rewind request (Ack with Nack set) carrying the
-// stream's consumed horizon; the sender replays its unacknowledged
-// backlog in order, closing the gap with not one delta lost, double-
-// applied or reordered. A corrupted frame belonging to a (site, stream)
-// that has not yet appeared on this connection cannot be nacked — the
-// coordinator does not know the key — and is recovered by the next
-// reconnect's replay instead (see PROTOCOLS.md).
+// A stream that does not open with the v2 magic byte (a stale gob sender,
+// say) is refused: counted in BadMsgs, reported as EvMsgRejected from
+// site -1, and the connection ends with codec.ErrNotV2, Ĉ and the sums
+// untouched.
+//
+// A frame rejected by CRC or structure is counted in BadMsgs, reported as
+// EvMsgRejected, and the decoder resynchronizes at the next magic
+// boundary — the connection survives. Because the rejected frame may have
+// carried a sequenced delta, the coordinator then refuses to apply frames
+// that would jump a sequence gap and instead sends a rewind request (Ack
+// with Nack set) carrying the stream's consumed horizon; the sender
+// replays its unacknowledged backlog in order, closing the gap with not
+// one delta lost, double-applied or reordered. A corrupted frame
+// belonging to a (site, stream) that has not yet appeared on this
+// connection cannot be nacked — the coordinator does not know the key —
+// and is recovered by the next reconnect's replay instead (see
+// PROTOCOLS.md).
 //
 // When conn is also a writer (net.Conn is), every sequenced frame is
 // acknowledged back on the same connection once consumed — applied,
 // deduped or rejected; the frame will never be applied later, so holding
-// it in the sender's backlog serves nothing. Acks use the connection's
-// detected codec. An ack write failure ends the connection: the site
-// will reconnect and replay, and dedup keeps the replay exactly-once.
+// it in the sender's backlog serves nothing. An ack write failure ends
+// the connection: the site will reconnect and replay, and dedup keeps the
+// replay exactly-once.
 func (c *Coordinator) HandleConn(conn io.Reader) error {
-	dec, cdc, err := codec.Detect(conn)
+	dec, _, err := codec.Detect(conn)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
+		if errors.Is(err, codec.ErrNotV2) {
+			c.reject(Msg{Site: -1})
+		}
 		return err
 	}
-	if rel, ok := dec.(interface{ Release() }); ok {
-		defer rel.Release()
-	}
+	defer dec.Release()
 	var enc codec.Encoder
 	if w, ok := conn.(io.Writer); ok {
-		enc = cdc.NewEncoder(w)
+		enc = codec.BinaryV2.NewEncoder(w)
 	}
 	ack := func(a Ack) error {
 		if err := enc.EncodeAck(a); err != nil {
@@ -586,10 +573,7 @@ func (c *Coordinator) HandleConn(conn io.Reader) error {
 		err := dec.DecodeMsg(&m)
 		var corrupt *codec.CorruptFrameError
 		if errors.As(err, &corrupt) {
-			c.badMsgs.Inc()
-			if c.sink != nil {
-				c.sink.OnEvent(obs.Event{Kind: obs.EvMsgRejected, Site: -1})
-			}
+			c.reject(Msg{Site: -1})
 			lost = true
 			// The lost frame's key is unknowable; rewind every stream this
 			// connection has carried so whichever one lost a delta replays.
@@ -706,8 +690,8 @@ type Sender interface {
 	Send(Msg) error
 }
 
-// ConnSender encodes messages onto a single stream in one codec (gob by
-// default, WithCodec selects). Each Send is flushed through immediately.
+// ConnSender encodes messages onto a single stream in the binary v2
+// framing. Each Send is flushed through immediately.
 type ConnSender struct {
 	mu     sync.Mutex
 	enc    codec.Encoder
