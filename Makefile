@@ -42,14 +42,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzHistogramInvariant -fuzztime=30s ./internal/eh/
 	$(GO) test -fuzz=FuzzSketchGuarantee -fuzztime=30s ./internal/fd/
 	$(GO) test -fuzz=FuzzSkewBufferOrdering -fuzztime=30s ./internal/stream/
+	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
 
-# Short fuzz sessions over the binary v2 wire decoder: arbitrary bytes
-# must never panic, never loop, and only ever fail with a frame-local
-# CorruptFrameError or an EOF-shaped transport error. The CI fuzz job
-# runs exactly this target.
+# Short fuzz sessions over untrusted-input and numerical kernels. The
+# binary v2 wire decoder must never panic, never loop, and only ever fail
+# with a frame-local CorruptFrameError or an EOF-shaped transport error.
+# The symmetric eigensolver must return on any input, NaN and ±Inf
+# included, and decompose every finite one of moderate norm. The CI fuzz
+# job runs exactly these targets.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMsg -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzDecodeAck -fuzztime=30s ./internal/wire/codec/
+	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
 
 # Seeded chaos soak under the race detector: replays the same workload
 # fault-free and under injected transport faults plus a site crash, and

@@ -135,9 +135,11 @@ func (s *Sketch) AppendRowsTo(dst *mat.Dense, at int) int {
 }
 
 // GramAddTo accumulates dst += scale · BᵀB over the sketch's live rows
-// without copying them. dst must be d×d.
+// without copying them or allocating. dst must be d×d.
 func (s *Sketch) GramAddTo(dst *mat.Dense, scale float64) {
-	mat.GramAdd(dst, s.buf.SliceRows(0, s.n), scale)
+	for i := 0; i < s.n; i++ {
+		mat.OuterAdd(dst, s.buf.Row(i), scale)
+	}
 }
 
 // ApplyGramAdd accumulates y += Bᵀ(B·x) over the sketch's current rows

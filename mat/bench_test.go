@@ -78,3 +78,30 @@ func BenchmarkPSDSqrt64(b *testing.B) {
 		PSDSqrt(c)
 	}
 }
+
+// BenchmarkEigSymInto32 decomposes a 32×32 symmetric matrix on a warm
+// workspace: the shape of DA1's report and of every query factorization
+// at the benchmark's d = 32.
+func BenchmarkEigSymInto32(b *testing.B) {
+	s := Gram(benchMat(64, 32, 10))
+	ws := NewWorkspace()
+	EigSymInto(s, ws)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EigSymInto(s, ws)
+	}
+}
+
+// BenchmarkThinSVDNoU40x32 is one FD shrink at ε = 0.05 (a 2ℓ×d = 40×32
+// buffer, here of rank 8) on a warm workspace.
+func BenchmarkThinSVDNoU40x32(b *testing.B) {
+	a := Mul(benchMat(40, 8, 11), benchMat(8, 32, 12))
+	ws := NewWorkspace()
+	ThinSVDNoU(a, ws)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ThinSVDNoU(a, ws)
+	}
+}

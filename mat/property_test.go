@@ -91,7 +91,7 @@ func TestPropSpectralNormBounds(t *testing.T) {
 func TestPropEigReconstructAndOrthonormal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
+		n := 1 + rng.Intn(64)
 		m := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {

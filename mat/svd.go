@@ -40,6 +40,10 @@ func svdCutoff(s []float64) float64 {
 	return max * 1e-12
 }
 
+// jacobiSweepsMax bounds JacobiSVD's sweeps over all row pairs;
+// convergence is quadratic, so well under this for any practical dimension.
+const jacobiSweepsMax = 60
+
 // JacobiSVD computes a thin SVD of a using one-sided Jacobi rotations on
 // the rows of a, which orthogonalizes all row pairs. It delivers high
 // relative accuracy for small singular values at higher cost than ThinSVD.
@@ -114,6 +118,7 @@ func JacobiSVD(a *Dense) SVD {
 
 // rotateRows applies [c -s; s c] to the row pair (p, q).
 func rotateRows(p, q []float64, c, s float64) {
+	q = q[:len(p)] // lets the compiler drop bounds checks
 	for j := range p {
 		pj, qj := p[j], q[j]
 		p[j] = c*pj - s*qj

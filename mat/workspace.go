@@ -20,10 +20,13 @@ import "math"
 //     serialized on one lane) its own Workspace.
 //   - The zero value is ready to use; NewWorkspace exists for symmetry.
 type Workspace struct {
-	// Jacobi eigendecomposition scratch (EigSymInto).
-	eigA Dense // symmetrized working copy, rotated in place
-	eigV Dense // rotation accumulator
-	idx  []int // eigenvalue sort permutation
+	// Symmetric eigendecomposition scratch (EigSymInto). eigA starts as
+	// the scaled, symmetrized input and ends as the transposed rotation
+	// accumulator, whose rows are the eigenvectors.
+	eigA Dense
+	eigD []float64 // tridiagonal diagonal, then the unsorted eigenvalues
+	eigE []float64 // tridiagonal subdiagonal
+	idx  []int     // eigenvalue sort permutation
 
 	// Eigendecomposition outputs, aliased by the returned Eigen.
 	vals []float64
@@ -76,23 +79,35 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 	n := s.rows
 	ws.eigA.reshape(n, n)
 	a := &ws.eigA
-	a.CopyFrom(s)
-	// Symmetrize to guard against drift in accumulated covariance updates.
+	// Symmetrize to guard against drift in accumulated covariance updates,
+	// and divide by a power of two, exactly, so that the largest entry is
+	// near 1: the QL sweeps then form their rotations without under- or
+	// overflow guards. The eigenvalues are scaled back below. The exponent
+	// is clamped so that 2^±exp stay finite for subnormal and huge input.
+	var mx float64
+	for _, x := range s.data {
+		if ax := math.Abs(x); ax > mx {
+			mx = ax
+		}
+	}
+	_, exp := math.Frexp(mx)
+	exp = min(max(exp, -1021), 1021)
+	inv := math.Ldexp(1, -exp)
 	for i := 0; i < n; i++ {
+		a.data[i*n+i] = s.data[i*n+i] * inv
 		for j := i + 1; j < n; j++ {
-			v := 0.5 * (a.data[i*n+j] + a.data[j*n+i])
+			v := 0.5 * (s.data[i*n+j]*inv + s.data[j*n+i]*inv)
 			a.data[i*n+j] = v
 			a.data[j*n+i] = v
 		}
 	}
-	ws.eigV.reshape(n, n)
-	v := &ws.eigV
-	v.Zero()
-	for i := 0; i < n; i++ {
-		v.data[i*n+i] = 1
+	ws.eigD = growFloats(ws.eigD, n)
+	ws.eigE = growFloats(ws.eigE, n)
+	d := ws.eigD
+	if n > 0 {
+		tridiagonalize(a, d, ws.eigE)
+		tridiagonalQL(a, d, ws.eigE)
 	}
-
-	jacobiEig(a, v)
 
 	ws.vals = growFloats(ws.vals, n)
 	ws.vecs.reshape(n, n)
@@ -102,26 +117,22 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion sort by decreasing diagonal value: n is small (sketch and
-	// covariance dimensions), the permutation is nearly sorted after
-	// Jacobi, and unlike sort.Slice this allocates nothing.
+	// Insertion sort by decreasing eigenvalue: n is small (sketch and
+	// covariance dimensions), and unlike sort.Slice this allocates nothing.
 	for i := 1; i < n; i++ {
 		k := idx[i]
-		key := a.data[k*n+k]
+		key := d[k]
 		j := i - 1
-		for j >= 0 && a.data[idx[j]*n+idx[j]] < key {
+		for j >= 0 && d[idx[j]] < key {
 			idx[j+1] = idx[j]
 			j--
 		}
 		idx[j+1] = k
 	}
+	scale := math.Ldexp(1, exp)
 	for r, i := range idx {
-		eig.Values[r] = a.data[i*n+i]
-		// Eigenvectors are the columns of the accumulated rotation matrix;
-		// store them as rows of the output.
-		for j := 0; j < n; j++ {
-			eig.Vectors.data[r*n+j] = v.data[j*n+i]
-		}
+		eig.Values[r] = d[i] * scale
+		copy(eig.Vectors.Row(r), a.Row(i))
 	}
 	return eig
 }

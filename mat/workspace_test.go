@@ -54,7 +54,7 @@ func denseEqual(t *testing.T, name string, got, want *Dense) {
 func TestEigSymIntoDirtyReuseBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ws := NewWorkspace()
-	for _, n := range []int{1, 3, 8, 2, 8, 5, 1, 6, 8} {
+	for _, n := range []int{1, 3, 8, 2, 8, 5, 1, 6, 8, 32, 64, 32} {
 		s := wsRandSym(rng, n)
 		want := EigSym(s)
 		got := EigSymInto(s, ws)
@@ -134,6 +134,8 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 	sym := wsRandSym(rng, 12)
 	wide := wsRandDense(rng, 6, 12)  // n ≤ d Gram route
 	tall := wsRandDense(rng, 24, 12) // n > d Gram route
+	sym32 := wsRandSym(rng, 32)
+	shrink := wsRandDense(rng, 40, 32) // FD's 2ℓ×d buffer at ε = 0.05
 	v := make([]float64, 12)
 	apply := func(x, y []float64) { symMulVec(sym, x, y) }
 	// Warm up so every buffer reaches its final size.
@@ -141,6 +143,8 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 	ThinSVDInto(wide, ws)
 	ThinSVDNoU(tall, ws)
 	OpSymNormWarmWS(12, v, 4, apply, ws)
+	EigSymInto(sym32, ws)
+	ThinSVDNoU(shrink, ws)
 
 	cases := []struct {
 		name string
@@ -150,6 +154,8 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 		{"ThinSVDInto", func() { ThinSVDInto(wide, ws) }},
 		{"ThinSVDNoU", func() { ThinSVDNoU(tall, ws) }},
 		{"OpSymNormWarmWS", func() { OpSymNormWarmWS(12, v, 4, apply, ws) }},
+		{"EigSymInto n=32", func() { EigSymInto(sym32, ws) }},
+		{"ThinSVDNoU 40x32", func() { ThinSVDNoU(shrink, ws) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.fn); n != 0 {
