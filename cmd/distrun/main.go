@@ -4,7 +4,13 @@
 // dataset in real (accelerated) order. It prints the assembled sketch's
 // covariance error against the exact window and the wire traffic.
 //
-// With -pipeline the same workload instead runs in-process through the
+// -streams N multiplexes N independent logical windows over the same
+// connections: every site runs one protocol instance per stream, each
+// pushing through wire.StreamOf over the site's one sender, and the report
+// checks each stream against its own exact window. N = 1 (the default)
+// runs on the default stream "".
+//
+// With -pipeline the same dataset instead runs in-process through the
 // parallel per-site ingestion pipeline (distwindow.New with WithParallel):
 // one feeder goroutine per site, site-local work on the pipeline's
 // workers, coordinator updates merged in global (T, site) order. -workers
@@ -15,6 +21,7 @@
 // Usage:
 //
 //	distrun -proto da2 -sites 8 -rows 30000 -d 24
+//	distrun -proto da1 -sites 4 -rows 30000 -d 24 -streams 3
 //	distrun -proto da2 -sites 8 -rows 30000 -d 24 -pipeline -workers 4 -batch 64
 package main
 
@@ -94,19 +101,34 @@ func main() {
 		runPipeline(*proto, *m, *rows, *d, *w, *eps, *seed, *pipeW, *batch)
 		return
 	}
+	if *nStream < 1 {
+		log.Fatal("-streams must be ≥ 1")
+	}
 	if *nStream > 1 {
-		runMultiStream(*proto, *m, *nStream, *rows, *d, *w, *eps, *seed, chaos.Config{
-			Seed: *chSeed, PDrop: *chDrop, PCut: *chCut, PDup: *chDup,
-			PDelay: *chDelay, PDialFail: *chDial,
-		}, *tele, *teleEvery)
-		return
+		if *liveAud {
+			log.Fatal("-live-audit shadows one window; it cannot be combined with -streams > 1")
+		}
+		// Streams multiplexed on one connection need per-stream sequence
+		// spaces and acks.
+		*resilient = true
+	}
+	perStream := *rows / *nStream
+	if perStream < 1 {
+		log.Fatalf("-rows %d spread over -streams %d leaves no rows per stream", *rows, *nStream)
+	}
+	ids := []string{""}
+	if *nStream > 1 {
+		ids = make([]string, *nStream)
+		for k := range ids {
+			ids[k] = fmt.Sprintf("stream-%03d", k)
+		}
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Tracing: every site goroutine owns a Tracer (the current-span chain
+	// Tracing: every site instance owns a Tracer (the current-span chain
 	// is single-goroutine) but all record into one shared ring, and the
 	// coordinator's apply spans join the sites' traces via the context the
 	// frames carry.
@@ -154,7 +176,7 @@ func main() {
 	}
 
 	go coord.Serve(ln)
-	fmt.Printf("coordinator listening on %s\n", ln.Addr())
+	fmt.Printf("coordinator listening on %s (%d logical streams over %d connections)\n", ln.Addr(), *nStream, *m)
 	if *metrics != "" {
 		var opts []obs.MuxOption
 		if *pprofF {
@@ -177,36 +199,23 @@ func main() {
 		}
 	}
 
-	// Generate the whole event stream up front so the exact window is
-	// reproducible ground truth.
-	rng := rand.New(rand.NewSource(*seed))
-	type ev struct {
-		site int
-		t    int64
-		v    []float64
-	}
-	evs := make([]ev, *rows)
-	for i := range evs {
-		v := make([]float64, *d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		evs[i] = ev{site: rng.Intn(*m), t: int64(i + 1), v: v}
-	}
+	// Generate the whole event stream up front so each stream's exact
+	// window is reproducible ground truth.
+	evs := genEvents(*nStream, perStream, *m, *d, *seed)
 
 	// Stream in global timestamp order: the main loop walks the events and
 	// dispatches each to its site's channel, so the sites progress roughly
 	// in step (and the auditor's shadow window sees rows in order). Each
-	// site goroutine owns its TCP connection and, when tracing, its own
-	// Tracer over the shared ring.
+	// site goroutine owns its TCP connection and one protocol instance per
+	// stream, all pushing through that connection's sender.
 	start := time.Now()
 	var wg sync.WaitGroup
-	chans := make([]chan ev, *m)
+	chans := make([]chan event, *m)
 	resSenders := make([]*wire.ResilientSender, *m)
 	for si := 0; si < *m; si++ {
-		chans[si] = make(chan ev, 64)
+		chans[si] = make(chan event, 64)
 		wg.Add(1)
-		go func(si int, in <-chan ev) {
+		go func(si int, in <-chan event) {
 			defer wg.Done()
 			drain := func() {
 				for range in {
@@ -258,9 +267,10 @@ func main() {
 				sender = cs
 			}
 			// Telemetry rides the same connection as the estimates, best
-			// effort and outside the seq/ack space; the deferred Stop runs
-			// before the sender closes, so the final frame (with the site's
-			// finished counters) still goes out.
+			// effort and outside the seq/ack space, counting rows across
+			// every stream; the deferred Stop runs before the sender closes,
+			// so the final frame (with the site's finished counters) still
+			// goes out.
 			var rowsN obs.Counter
 			if *tele {
 				pub := telemetry.NewPublisher(
@@ -271,40 +281,29 @@ func main() {
 				defer pub.Stop()
 			}
 			cfg := wire.SiteConfig{ID: si, D: *d, W: *w, Eps: *eps}
-			var observe func(t int64, v []float64) error
-			var advance func(t int64) error
-			switch *proto {
-			case "da1":
-				s, err := wire.NewDA1Site(cfg, sender)
+			sites := make([]site, len(ids))
+			for k, id := range ids {
+				s, err := newSite(*proto, cfg, wire.StreamOf(sender, id))
 				if err != nil {
 					log.Fatal(err)
 				}
 				if ring != nil {
 					s.SetTracer(trace.New(ring, *traceN))
 				}
-				observe, advance = s.Observe, s.Advance
-			case "da2":
-				s, err := wire.NewDA2Site(cfg, sender)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if ring != nil {
-					s.SetTracer(trace.New(ring, *traceN))
-				}
-				observe, advance = s.Observe, s.Advance
-			default:
-				log.Fatalf("unknown protocol %q", *proto)
+				sites[k] = s
 			}
 			for e := range in {
-				if err := observe(e.t, e.v); err != nil {
-					log.Printf("site %d: %v", si, err)
+				if err := sites[e.k].Observe(e.t, e.v); err != nil {
+					log.Printf("site %d stream %q: %v", si, ids[e.k], err)
 					drain()
 					return
 				}
 				rowsN.Inc()
 			}
-			if err := advance(int64(*rows)); err != nil {
-				log.Printf("site %d: %v", si, err)
+			for k, s := range sites {
+				if err := s.Advance(int64(perStream)); err != nil {
+					log.Printf("site %d stream %q: %v", si, ids[k], err)
+				}
 			}
 		}(si, chans[si])
 	}
@@ -321,19 +320,40 @@ func main() {
 	// Let the coordinator drain in-flight frames before measuring.
 	time.Sleep(200 * time.Millisecond)
 
-	truth := window.NewExact(*w)
-	for _, e := range evs {
-		truth.Add(stream.Row{T: e.t, V: e.v})
+	truths := make([]*window.Exact, len(ids))
+	for k := range truths {
+		truths[k] = window.NewExact(*w)
 	}
-	b := coord.Sketch()
+	for _, e := range evs {
+		truths[e.k].Add(stream.Row{T: e.t, V: e.v})
+	}
 	cm := coord.Metrics()
-	fmt.Printf("protocol:         %s over TCP, %d sites\n", *proto, *m)
-	fmt.Printf("streamed:         %d rows (d=%d) in %v\n", *rows, *d, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("covariance error: %.4f (target ε=%.3g)\n", truth.CovErr(*d, b), *eps)
-	fmt.Printf("wire traffic:     %d messages, %.1f KiB payload\n", cm.Msgs, float64(cm.Bytes)/1024)
+	fmt.Printf("protocol:         %s over TCP, %d sites × %d streams\n", *proto, *m, *nStream)
+	fmt.Printf("streamed:         %d rows (%d per stream, d=%d) in %v\n",
+		len(evs), perStream, *d, time.Since(start).Round(time.Millisecond))
+	worst, sum := 0.0, 0.0
+	worstID := ""
+	for k, id := range ids {
+		e := truths[k].CovErr(*d, coord.SketchOf(id))
+		sum += e
+		if k == 0 || e > worst {
+			worst, worstID = e, id
+		}
+		if *nStream <= 8 {
+			fmt.Printf("  stream %q: covariance error %.4f (target ε=%.3g)\n", id, e, *eps)
+		}
+	}
+	fmt.Printf("covariance error: mean %.4f, worst %.4f (stream %q), target ε=%.3g\n",
+		sum/float64(*nStream), worst, worstID, *eps)
+	fmt.Printf("wire traffic:     %d messages, %.1f KiB payload across %d coordinator streams\n",
+		cm.Msgs, float64(cm.Bytes)/1024, cm.Streams)
 	fmt.Printf("message kinds:    %d direction adds, %d removes, %d sum deltas (%d rejected)\n",
 		cm.DirectionAdds, cm.DirectionRemoves, cm.SumDeltas, cm.BadMsgs)
-	raw := float64(truth.Len()*(*d+2)) * 8 / 1024
+	active := 0
+	for _, tr := range truths {
+		active += tr.Len()
+	}
+	raw := float64(active*(*d+2)) * 8 / 1024
 	fmt.Printf("vs. shipping the active window: %.1f KiB\n", raw)
 	if *resilient {
 		var rm wire.ResilientMetrics
@@ -396,7 +416,60 @@ func main() {
 	coord.Close()
 }
 
-// runPipeline streams the same generated dataset through the in-process
+// site is one protocol instance of a networked site (wire.DA1Site or
+// wire.DA2Site).
+type site interface {
+	SetTracer(*trace.Tracer)
+	Observe(t int64, v []float64) error
+	Advance(t int64) error
+}
+
+// event is one generated row: its stream index k, the site that observes
+// it, its timestamp and its values.
+type event struct {
+	k    int
+	site int
+	t    int64
+	v    []float64
+}
+
+// genEvents generates a run's dataset: perStream rows on each of n
+// streams, timestamps 1..perStream, in timestamp order. Each stream draws
+// its values from its own RNG and every row draws its site from one shared
+// RNG, each seeded apart, so the streams interleave across connections and
+// no site choice repeats a value draw. The TCP run and -pipeline (n = 1)
+// stream the same dataset.
+func genEvents(n, perStream, m, d int, seed int64) []event {
+	siteRng := rand.New(rand.NewSource(seed))
+	valRngs := make([]*rand.Rand, n)
+	for k := range valRngs {
+		valRngs[k] = rand.New(rand.NewSource(seed + int64(1000*(k+1))))
+	}
+	evs := make([]event, 0, n*perStream)
+	for i := 0; i < perStream; i++ {
+		for k, rng := range valRngs {
+			v := make([]float64, d)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			evs = append(evs, event{k: k, site: siteRng.Intn(m), t: int64(i + 1), v: v})
+		}
+	}
+	return evs
+}
+
+// newSite builds one protocol instance pushing to out.
+func newSite(proto string, cfg wire.SiteConfig, out wire.Sender) (site, error) {
+	switch proto {
+	case "da1":
+		return wire.NewDA1Site(cfg, out)
+	case "da2":
+		return wire.NewDA2Site(cfg, out)
+	}
+	return nil, fmt.Errorf("unknown protocol %q", proto)
+}
+
+// runPipeline streams a generated dataset through the in-process
 // parallel pipeline: the event stream is partitioned by site and each
 // site's subsequence is fed by its own goroutine, so ingestion parallelism
 // comes from the pipeline's workers rather than TCP connections. Feeders
@@ -421,20 +494,12 @@ func runPipeline(proto string, m, rows, d int, w int64, eps float64, seed int64,
 	}
 	defer tr.Close()
 
-	// Same generator and seed as the TCP path, so the two modes stream the
+	// The TCP run's generator and seed, so the two modes stream the
 	// identical dataset; rows are partitioned by site for the feeders.
-	rng := rand.New(rand.NewSource(seed))
+	evs := genEvents(1, rows, m, d, seed)
 	rowsOf := make([][]distwindow.Row, m)
-	var all []distwindow.Row
-	for i := 0; i < rows; i++ {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		r := distwindow.Row{T: int64(i + 1), V: v}
-		si := rng.Intn(m)
-		rowsOf[si] = append(rowsOf[si], r)
-		all = append(all, r)
+	for _, e := range evs {
+		rowsOf[e.site] = append(rowsOf[e.site], distwindow.Row{T: e.t, V: e.v})
 	}
 
 	start := time.Now()
@@ -468,8 +533,8 @@ func runPipeline(proto string, m, rows, d int, w int64, eps float64, seed int64,
 	elapsed := time.Since(start)
 
 	truth := window.NewExact(w)
-	for _, r := range all {
-		truth.Add(stream.Row{T: r.T, V: r.V})
+	for _, e := range evs {
+		truth.Add(stream.Row{T: e.t, V: e.v})
 	}
 	b := tr.Sketch()
 	met := tr.Metrics()

@@ -43,9 +43,6 @@ func (c Config) WithPools(p Pools) Config {
 	return c
 }
 
-// SharedPools returns the pools attached with WithPools (zero when none).
-func (c Config) SharedPools() Pools { return c.pools }
-
 // FieldError reports which Config field failed validation and why; the
 // facade wraps it so callers can attribute the failure without parsing the
 // message.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"distwindow/internal/protocol"
 	"distwindow/mat"
@@ -9,16 +10,32 @@ import (
 
 // gramSnapshot freezes a one-way tracker's coordinator Gram estimate Ĉ.
 // The chat copy is owned by the snapshot and never written again, so all
-// methods are safe from any goroutine. Sketch recomputes the PSD square
-// root per call (PSDSqrt does not mutate its input); the float-op sequence
-// is identical to the live tracker's Sketch at the same point in the apply
-// order, so the result is bit-identical to a quiesced query.
+// methods are safe from any goroutine. The first Sketch call factors Ĉ
+// once (PSDSqrt does not mutate its input) and every call hands out a copy
+// of that factor; the float-op sequence is identical to the live tracker's
+// Sketch at the same point in the apply order, so the result is
+// bit-identical to a quiesced query.
 type gramSnapshot struct {
-	chat *mat.Dense
+	chat   *mat.Dense
+	once   sync.Once
+	sketch *mat.Dense
 }
 
-func (g gramSnapshot) Sketch() *mat.Dense       { return mat.PSDSqrt(g.chat) }
-func (g gramSnapshot) Gram() (*mat.Dense, bool) { return g.chat, true }
+func (g *gramSnapshot) Sketch() *mat.Dense {
+	g.once.Do(func() { g.sketch = mat.PSDSqrt(g.chat) })
+	return g.sketch.Clone()
+}
+
+func (g *gramSnapshot) Gram() (*mat.Dense, bool) { return g.chat, true }
+
+// FreezeGram returns the snapshot of a coordinator Gram estimate Ĉ that
+// every one-way tracker publishes: it owns a copy of chat, taken now, and
+// factors it at most once however many readers share it. The networked
+// coordinator publishes its streams through it too, so a TCP stream and
+// an in-process tracker answer a query with the same code.
+func FreezeGram(chat *mat.Dense) protocol.CoordSnapshot {
+	return &gramSnapshot{chat: chat.Clone()}
+}
 
 // sketchSnapshot freezes a sampling tracker's materialized sketch B. The
 // sampling family keeps no coordinator Gram, so Gram reports absence.
@@ -30,14 +47,10 @@ func (s sketchSnapshot) Sketch() *mat.Dense       { return s.b.Clone() }
 func (s sketchSnapshot) Gram() (*mat.Dense, bool) { return nil, false }
 
 // SnapshotCoord freezes Ĉ. Safe from the apply-owning goroutine only.
-func (t *DA1) SnapshotCoord() protocol.CoordSnapshot {
-	return gramSnapshot{chat: t.chat.Clone()}
-}
+func (t *DA1) SnapshotCoord() protocol.CoordSnapshot { return FreezeGram(t.chat) }
 
 // SnapshotCoord freezes Ĉ. Safe from the apply-owning goroutine only.
-func (t *DA2) SnapshotCoord() protocol.CoordSnapshot {
-	return gramSnapshot{chat: t.chat.Clone()}
-}
+func (t *DA2) SnapshotCoord() protocol.CoordSnapshot { return FreezeGram(t.chat) }
 
 // SnapshotCoord freezes Ĉ decayed to the tracker's clock — the same value
 // Sketch/SketchGram would observe — without touching the live chat: the
@@ -51,7 +64,7 @@ func (t *DecayTracker) SnapshotCoord() protocol.CoordSnapshot {
 	if t.now > t.chatT {
 		mat.ScaleInPlace(c, math.Pow(t.gamma, float64(t.now-t.chatT)))
 	}
-	return gramSnapshot{chat: c}
+	return &gramSnapshot{chat: c}
 }
 
 // SnapshotCoord materializes the current sample set into a frozen sketch.

@@ -27,9 +27,6 @@ func NewPools() Pools {
 	return Pools{WS: mat.NewWorkspacePool(0), Meh: meh.NewPool()}
 }
 
-// Shared reports whether any pool is attached.
-func (p Pools) Shared() bool { return p.WS != nil || p.Meh != nil }
-
 // workspace returns a workspace from the shared pool when one is
 // attached, fresh otherwise (WorkspacePool.Get handles the nil pool).
 func (p Pools) workspace() *mat.Workspace { return p.WS.Get() }

@@ -8,13 +8,14 @@ import "distwindow/mat"
 // synchronization: the snapshot owns its storage and never mutates it.
 //
 // Matrices returned by Gram are shared with the snapshot and must be
-// treated as read-only by callers; Sketch computes a fresh, caller-owned
-// matrix on every call.
+// treated as read-only by callers. Sketch returns a fresh, caller-owned
+// copy of a factorization computed at most once per snapshot, so any
+// number of readers of one snapshot share a single O(d³) factorization.
 type CoordSnapshot interface {
 	// Sketch returns the sketch B with BᵀB ≈ AᵀA as of the snapshot
 	// point — the same value the tracker's own Sketch would have returned
-	// had it been queried (quiesced) at that point. The result is freshly
-	// allocated and owned by the caller.
+	// had it been queried (quiesced) at that point. The result is a copy
+	// owned by the caller.
 	Sketch() *mat.Dense
 
 	// Gram returns the coordinator's Gram estimate Ĉ when the protocol

@@ -1,7 +1,9 @@
 // Package tenant provides the sharded concurrent map underneath the
 // facade's multi-stream Registry: thousands of independently-tracked
 // streams keyed by id, with striped locks so concurrent lookups from
-// ingest goroutines never serialize on one mutex.
+// ingest goroutines never serialize on one mutex. The networked
+// coordinator (internal/wire) holds its per-stream state in the same map,
+// so frames of different streams never contend there either.
 //
 // The map is deliberately dumber than sync.Map: entries are long-lived
 // tracker handles, the read path must not allocate (the registry's

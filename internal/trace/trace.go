@@ -143,11 +143,8 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]atomic.Pointer[SpanRec], size), mask: uint64(size - 1)}
 }
 
-// Cap returns the ring's span capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Recorded returns how many spans have ever been pushed (spans older
-// than Cap have been overwritten).
+// Recorded returns how many spans have ever been pushed (beyond the
+// ring's capacity, the oldest have been overwritten).
 func (r *Ring) Recorded() int64 { return int64(r.head.Load()) }
 
 func (r *Ring) push(s *SpanRec) {

@@ -23,9 +23,10 @@ import (
 
 // soakResult is everything the two runs must agree on.
 type soakResult struct {
-	chat []float64
-	sum  float64
-	cm   CoordinatorMetrics
+	chat   []float64
+	sketch *mat.Dense
+	sum    float64
+	cm     CoordinatorMetrics
 }
 
 // soakSite abstracts the per-protocol site over the crash/restore cycle.
@@ -289,7 +290,7 @@ func runSoak(t *testing.T, proto string, inj *chaos.Injector, crash bool, sum bo
 	}
 
 	snap := coord.Snapshot()
-	return soakResult{chat: snap.Chat, sum: coord.Sum(), cm: coord.Metrics()}
+	return soakResult{chat: snap.Streams[""].Chat, sketch: coord.Sketch(), sum: coord.Sum(), cm: coord.Metrics()}
 }
 
 func soakInjector() *chaos.Injector {

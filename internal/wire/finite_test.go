@@ -141,9 +141,9 @@ func TestCoordinatorRejectsNonFiniteFrames(t *testing.T) {
 			t.Fatalf("site statuses %+v, want horizon 9", st)
 		}
 		want := []float64{1, 0, 0, 2.5}
-		for i, v := range coord.Snapshot().Chat {
+		for i, v := range coord.Snapshot().Streams[""].Chat {
 			if v != want[i] {
-				t.Fatalf("Ĉ = %v, want %v", coord.Snapshot().Chat, want)
+				t.Fatalf("Ĉ = %v, want %v", coord.Snapshot().Streams[""].Chat, want)
 			}
 		}
 		if got := coord.Sum(); got != 2 {
@@ -185,9 +185,9 @@ func TestCoordinatorRejectsNonFiniteFrames(t *testing.T) {
 		if st := coord.SiteStatuses(); len(st) != 0 {
 			t.Fatalf("site statuses %+v, want none", st)
 		}
-		for _, v := range coord.Snapshot().Chat {
+		for _, v := range coord.Snapshot().Streams[""].Chat {
 			if v != 0 {
-				t.Fatalf("Ĉ = %v, want zero", coord.Snapshot().Chat)
+				t.Fatalf("Ĉ = %v, want zero", coord.Snapshot().Streams[""].Chat)
 			}
 		}
 		if got := coord.Sum(); got != 0 {

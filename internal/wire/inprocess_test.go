@@ -13,12 +13,14 @@ import (
 
 // inProcessSoak runs the soak workload through the in-process core
 // trackers — one m-site matrix tracker and one SUM tracker, every update
-// folded inline in emission order — and returns Ĉ and the SUM estimate.
-func inProcessSoak(t *testing.T, proto string) ([]float64, float64) {
+// folded inline in emission order — and returns Ĉ, the sketch read through
+// the tracker's published snapshot, and the SUM estimate.
+func inProcessSoak(t *testing.T, proto string) ([]float64, *mat.Dense, float64) {
 	t.Helper()
 	cfg := core.Config{D: soakD, W: soakW, Eps: soakEps, Sites: soakSites}
 	var tr interface {
 		protocol.OneWay
+		protocol.Snapshotter
 		SketchGram() *mat.Dense
 	}
 	var err error
@@ -51,7 +53,7 @@ func inProcessSoak(t *testing.T, proto string) ([]float64, float64) {
 		tr.AdvanceSite(i, soakRows, apply)
 	}
 	sum.AdvanceAll(soakRows)
-	return tr.SketchGram().Data(), sum.Estimate()
+	return tr.SketchGram().Data(), tr.SnapshotCoord().Sketch(), sum.Estimate()
 }
 
 // TestChaosNetworkedMatchesInProcess is the differential test tying the
@@ -67,7 +69,7 @@ func TestChaosNetworkedMatchesInProcess(t *testing.T) {
 		t.Skip("multi-run TCP differential test")
 	}
 	for _, proto := range []string{"da1", "da2", "da2c"} {
-		want, wantSum := inProcessSoak(t, proto)
+		want, wantSketch, wantSum := inProcessSoak(t, proto)
 		for _, faults := range []bool{false, true} {
 			var inj *chaos.Injector
 			if faults {
@@ -79,6 +81,11 @@ func TestChaosNetworkedMatchesInProcess(t *testing.T) {
 					t.Fatalf("%s chaos=%v: Ĉ[%d] = %v over the wire, %v in process",
 						proto, faults, i, got.chat[i], want[i])
 				}
+			}
+			// The two read paths must give one answer, not just the two Ĉs.
+			if !bitEqual(got.sketch, wantSketch) {
+				t.Fatalf("%s chaos=%v: coordinator Sketch %v over the wire, snapshot Sketch %v in process",
+					proto, faults, got.sketch.Data(), wantSketch.Data())
 			}
 			if math.Float64bits(got.sum) != math.Float64bits(wantSum) {
 				t.Fatalf("%s chaos=%v: SUM estimate %v over the wire, %v in process",
@@ -94,4 +101,18 @@ func TestChaosNetworkedMatchesInProcess(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bitEqual reports whether two matrices have the same shape and the same
+// bits in every entry.
+func bitEqual(a, b *mat.Dense) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float64bits(v) != math.Float64bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -157,6 +157,8 @@ func DialFunc(dial func() (io.ReadWriteCloser, error), opts ...SenderOption) (*R
 
 func configureResilient(s *ResilientSender, o senderOptions) {
 	s.stream = o.stream
+	s.seqs = make(map[string]uint64)
+	s.maxSent = make(map[string]uint64)
 	if rc := o.res; rc != nil {
 		if rc.DialTimeout > 0 {
 			s.DialTimeout = rc.DialTimeout

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,7 +12,6 @@ import (
 
 	"distwindow/internal/obs"
 	"distwindow/internal/wire/codec"
-	"distwindow/mat"
 )
 
 // PendingError is returned by ResilientSender.Close when undelivered
@@ -73,19 +73,16 @@ type ResilientSender struct {
 	gen     uint64 // connection generation; stale ack readers exit on mismatch
 	backlog []Msg  // unacknowledged messages, per-stream seq order
 	sent    int    // backlog prefix already written on the current conn
-	// nextSeq is the default stream's sequence counter; streamSeq holds
-	// the counters of the non-default streams (lazily created). Each
-	// stream multiplexed through this sender has its own sequence space,
-	// matching the coordinator's (site, stream) dedup keying.
-	nextSeq       uint64
-	streamSeq     map[string]uint64
-	maxSent       uint64            // highest default-stream seq ever written (counts replays)
-	maxSentStream map[string]uint64 // per-stream counterparts of maxSent
-	dial          func() (io.ReadWriteCloser, error)
-	rng           *rand.Rand
-	backoff       time.Duration
-	nextDial      time.Time
-	now           func() time.Time
+	// seqs holds each stream's last assigned sequence number. Each stream
+	// multiplexed through this sender has its own sequence space, matching
+	// the coordinator's (site, stream) dedup keying.
+	seqs     map[string]uint64
+	maxSent  map[string]uint64 // per stream, the highest seq ever written (counts replays)
+	dial     func() (io.ReadWriteCloser, error)
+	rng      *rand.Rand
+	backoff  time.Duration
+	nextDial time.Time
+	now      func() time.Time
 
 	msgs      obs.Counter
 	acked     obs.Counter
@@ -128,16 +125,8 @@ func (s *ResilientSender) Send(m Msg) error {
 		// each stream has its own sequence space.
 		m.StreamID = s.stream
 	}
-	if m.StreamID == "" {
-		s.nextSeq++
-		m.Seq = s.nextSeq
-	} else {
-		if s.streamSeq == nil {
-			s.streamSeq = make(map[string]uint64)
-		}
-		s.streamSeq[m.StreamID]++
-		m.Seq = s.streamSeq[m.StreamID]
-	}
+	s.seqs[m.StreamID]++
+	m.Seq = s.seqs[m.StreamID]
 	s.backlog = append(s.backlog, m)
 	s.drainLocked()
 	return nil
@@ -237,21 +226,10 @@ func (s *ResilientSender) drainLocked() {
 			return
 		}
 		s.msgs.Inc()
-		if m.StreamID == "" {
-			if m.Seq <= s.maxSent {
-				s.replayed.Inc()
-			} else {
-				s.maxSent = m.Seq
-			}
+		if m.Seq <= s.maxSent[m.StreamID] {
+			s.replayed.Inc()
 		} else {
-			if m.Seq <= s.maxSentStream[m.StreamID] {
-				s.replayed.Inc()
-			} else {
-				if s.maxSentStream == nil {
-					s.maxSentStream = make(map[string]uint64)
-				}
-				s.maxSentStream[m.StreamID] = m.Seq
-			}
+			s.maxSent[m.StreamID] = m.Seq
 		}
 		s.sent++
 	}
@@ -419,12 +397,15 @@ type SenderState struct {
 func (s *ResilientSender) State() SenderState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SenderState{NextSeq: s.nextSeq, Backlog: make([]Msg, len(s.backlog))}
-	if len(s.streamSeq) > 0 {
-		st.StreamSeqs = make(map[string]uint64, len(s.streamSeq))
-		for id, seq := range s.streamSeq {
-			st.StreamSeqs[id] = seq
+	st := SenderState{NextSeq: s.seqs[""], Backlog: make([]Msg, len(s.backlog))}
+	for id, seq := range s.seqs {
+		if id == "" {
+			continue
 		}
+		if st.StreamSeqs == nil {
+			st.StreamSeqs = make(map[string]uint64, len(s.seqs))
+		}
+		st.StreamSeqs[id] = seq
 	}
 	for i, m := range s.backlog {
 		m.V = append([]float64(nil), m.V...)
@@ -440,6 +421,11 @@ func (s *ResilientSender) State() SenderState {
 func (s *ResilientSender) RestoreState(st SenderState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	seqs := make(map[string]uint64, len(st.StreamSeqs)+1)
+	for id, seq := range st.StreamSeqs {
+		seqs[id] = seq
+	}
+	seqs[""] = st.NextSeq
 	last := make(map[string]uint64)
 	for i, m := range st.Backlog {
 		if prev, ok := last[m.StreamID]; ok && m.Seq <= prev {
@@ -448,24 +434,12 @@ func (s *ResilientSender) RestoreState(st SenderState) error {
 		last[m.StreamID] = m.Seq
 	}
 	for id, tail := range last {
-		next := st.NextSeq
-		if id != "" {
-			next = st.StreamSeqs[id]
-		}
-		if tail > next {
-			return fmt.Errorf("wire: sender state counter %d behind backlog tail %d (stream %q)", next, tail, id)
+		if tail > seqs[id] {
+			return fmt.Errorf("wire: sender state counter %d behind backlog tail %d (stream %q)", seqs[id], tail, id)
 		}
 	}
-	s.nextSeq = st.NextSeq
-	s.streamSeq = nil
-	if len(st.StreamSeqs) > 0 {
-		s.streamSeq = make(map[string]uint64, len(st.StreamSeqs))
-		for id, seq := range st.StreamSeqs {
-			s.streamSeq[id] = seq
-		}
-	}
-	s.maxSent = 0
-	s.maxSentStream = nil
+	s.seqs = seqs
+	s.maxSent = make(map[string]uint64)
 	s.sent = 0
 	s.backlog = make([]Msg, len(st.Backlog))
 	for i, m := range st.Backlog {
@@ -498,32 +472,30 @@ func (s *ResilientSender) Close() error {
 }
 
 // Snapshot is a serializable copy of a coordinator's state, for failover
-// or checkpoint/restore.
+// or checkpoint/restore. It is a per-stream consistent cut: each stream is
+// copied under its own lock, the lock its frames are admitted and folded
+// under, so every frame is wholly in the snapshot (folded, and its
+// sequence number consumed) or wholly out of it.
 type Snapshot struct {
 	D int
-	// Chat and Sum are the default stream's estimate; Streams carries the
-	// non-default streams' estimates (nil when none — pre-stream
-	// snapshots decode with a nil map and restore unchanged).
-	Chat    []float64
-	Sum     float64
+	// Streams carries every stream's estimate by stream id; the default
+	// stream "" is always present.
 	Streams map[string]StreamState
 	Msgs    int64
 	Bytes   int64
-	// SiteSeqs carries the default stream's per-site dedup horizon, so a
-	// failed-over coordinator keeps discarding replays its predecessor
-	// already applied. Absent in pre-ack snapshots (gob leaves the map
-	// nil). StreamSeqs carries the non-default streams' horizons.
-	SiteSeqs   map[int]uint64
+	// StreamSeqs carries every sequenced (site, stream) dedup horizon, so
+	// a failed-over coordinator keeps discarding replays its predecessor
+	// already applied.
 	StreamSeqs []StreamSeq
 }
 
-// StreamState is one non-default stream's serialized estimate.
+// StreamState is one stream's serialized estimate.
 type StreamState struct {
 	Chat []float64
 	Sum  float64
 }
 
-// StreamSeq is one non-default (site, stream) dedup horizon.
+// StreamSeq is one (site, stream) dedup horizon.
 type StreamSeq struct {
 	Site   int
 	Stream string
@@ -532,43 +504,24 @@ type StreamSeq struct {
 
 // Snapshot captures the coordinator's current state.
 func (c *Coordinator) Snapshot() Snapshot {
-	c.mu.Lock()
-	data := make([]float64, len(c.def.chat.Data()))
-	copy(data, c.def.chat.Data())
-	sum := c.def.sum
-	var streams map[string]StreamState
-	if len(c.streams) > 0 {
-		streams = make(map[string]StreamState, len(c.streams))
-		for id, e := range c.streams {
-			streams[id] = StreamState{Chat: append([]float64(nil), e.chat.Data()...), Sum: e.sum}
+	s := Snapshot{D: c.d, Streams: make(map[string]StreamState)}
+	c.each(func(id string, e *coordStream) {
+		s.Streams[id] = StreamState{Chat: append([]float64(nil), e.chat.Data()...), Sum: e.sum}
+		for site, st := range e.sites {
+			if st.lastSeq != 0 {
+				s.StreamSeqs = append(s.StreamSeqs, StreamSeq{Site: site, Stream: id, Seq: st.lastSeq})
+			}
 		}
-	}
-	c.mu.Unlock()
-	c.siteMu.Lock()
-	seqs := make(map[int]uint64, len(c.siteStates))
-	var streamSeqs []StreamSeq
-	for key, st := range c.siteStates {
-		if st.lastSeq == 0 {
-			continue
-		}
-		if key.stream == "" {
-			seqs[key.site] = st.lastSeq
-		} else {
-			streamSeqs = append(streamSeqs, StreamSeq{Site: key.site, Stream: key.stream, Seq: st.lastSeq})
-		}
-	}
-	c.siteMu.Unlock()
-	sort.Slice(streamSeqs, func(i, j int) bool {
-		if streamSeqs[i].Site != streamSeqs[j].Site {
-			return streamSeqs[i].Site < streamSeqs[j].Site
-		}
-		return streamSeqs[i].Stream < streamSeqs[j].Stream
 	})
-	return Snapshot{
-		D: c.d, Chat: data, Sum: sum, Streams: streams,
-		Msgs: c.msgs.Load(), Bytes: c.bytes.Load(),
-		SiteSeqs: seqs, StreamSeqs: streamSeqs,
-	}
+	sort.Slice(s.StreamSeqs, func(i, j int) bool {
+		a, b := s.StreamSeqs[i], s.StreamSeqs[j]
+		if a.Site != b.Site {
+			return a.Site < b.Site
+		}
+		return a.Stream < b.Stream
+	})
+	s.Msgs, s.Bytes = c.msgs.Load(), c.bytes.Load()
+	return s
 }
 
 // WriteSnapshot gob-encodes a snapshot to w.
@@ -576,36 +529,33 @@ func (c *Coordinator) WriteSnapshot(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(c.Snapshot())
 }
 
-// RestoreCoordinator rebuilds a coordinator from a snapshot.
+// RestoreCoordinator rebuilds a coordinator from a snapshot. A snapshot
+// without a default-stream entry is refused: it is the layout written
+// before every stream, the default one included, became one entry.
 func RestoreCoordinator(s Snapshot) (*Coordinator, error) {
-	if s.D < 1 || len(s.Chat) != s.D*s.D {
-		return nil, fmt.Errorf("wire: invalid snapshot d=%d chat=%d", s.D, len(s.Chat))
+	if s.D < 1 {
+		return nil, fmt.Errorf("wire: invalid snapshot d=%d", s.D)
+	}
+	if _, ok := s.Streams[""]; !ok {
+		return nil, errors.New("wire: snapshot has no default stream entry (old checkpoint layout)")
+	}
+	for id, ss := range s.Streams {
+		if len(ss.Chat) != s.D*s.D {
+			return nil, fmt.Errorf("wire: invalid snapshot stream %q chat=%d, want %d", id, len(ss.Chat), s.D*s.D)
+		}
 	}
 	c := NewCoordinator(s.D)
-	copy(c.def.chat.Data(), s.Chat)
-	c.def.sum = s.Sum
 	for id, ss := range s.Streams {
-		if id == "" || len(ss.Chat) != s.D*s.D {
-			return nil, fmt.Errorf("wire: invalid snapshot stream %q chat=%d", id, len(ss.Chat))
-		}
-		e := &streamEst{chat: mat.NewDense(s.D, s.D), sum: ss.Sum}
+		e := c.stream(id)
 		copy(e.chat.Data(), ss.Chat)
-		if c.streams == nil {
-			c.streams = make(map[string]*streamEst, len(s.Streams))
-		}
-		c.streams[id] = e
+		e.sum = ss.Sum
+	}
+	for _, ss := range s.StreamSeqs {
+		st := c.stream(ss.Stream).record(ss.Site)
+		st.lastSeq, st.lastSeen = ss.Seq, c.now()
 	}
 	c.msgs.Add(s.Msgs)
 	c.bytes.Add(s.Bytes)
-	if len(s.SiteSeqs) > 0 || len(s.StreamSeqs) > 0 {
-		c.siteStates = make(map[siteKey]*siteState, len(s.SiteSeqs)+len(s.StreamSeqs))
-		for site, seq := range s.SiteSeqs {
-			c.siteStates[siteKey{site: site}] = &siteState{lastSeq: seq, lastSeen: c.now()}
-		}
-		for _, ss := range s.StreamSeqs {
-			c.siteStates[siteKey{site: ss.Site, stream: ss.Stream}] = &siteState{lastSeq: ss.Seq, lastSeen: c.now()}
-		}
-	}
 	return c, nil
 }
 

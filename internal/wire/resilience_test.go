@@ -179,8 +179,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
-	if _, err := RestoreCoordinator(Snapshot{D: 3, Chat: []float64{1, 2}}); err == nil {
+	if _, err := RestoreCoordinator(Snapshot{D: 3, Streams: map[string]StreamState{"": {Chat: []float64{1, 2}}}}); err == nil {
 		t.Fatal("want error for wrong chat length")
+	}
+	// The layout before per-stream checkpoints kept the default stream
+	// outside Streams; restoring it would silently zero that stream.
+	if _, err := RestoreCoordinator(Snapshot{D: 1, Streams: map[string]StreamState{"a": {Chat: []float64{1}}}}); err == nil {
+		t.Fatal("want error for a snapshot with no default stream entry")
 	}
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("want error for corrupt stream")

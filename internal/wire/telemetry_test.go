@@ -155,10 +155,10 @@ func TestSendBestEffortBypassesBacklog(t *testing.T) {
 		t.Fatalf("backlog = %d after best-effort send, want ≤ 1 (the data frame)", n)
 	}
 	s.mu.Lock()
-	seq := s.nextSeq
+	seq := s.seqs[""]
 	s.mu.Unlock()
 	if seq != 1 {
-		t.Fatalf("best-effort send consumed a sequence number: nextSeq = %d", seq)
+		t.Fatalf("best-effort send consumed a sequence number: default-stream seq = %d", seq)
 	}
 
 	waitFor(t, func() bool { return c.Fleet().Snapshot().FramesTotal == 1 })

@@ -5,7 +5,15 @@
 // — the same site logic the in-process trackers run — and pushes the
 // updates it emits to a coordinator over TCP (or any net.Conn); the
 // coordinator folds them into its covariance estimate with the in-process
-// arithmetic and answers sketch queries concurrently.
+// arithmetic and answers sketch queries concurrently through the
+// in-process read path (core.FreezeGram).
+//
+// The coordinator has one store. Each logical stream, the default stream
+// "" included, is one entry of a sharded map holding its estimate and its
+// senders' delivery records under one per-stream lock; no mutex spans
+// streams. A frame is admitted and folded under that lock, so streams
+// never contend and a checkpoint (Coordinator.Snapshot) is a per-stream
+// consistent cut.
 //
 // Frames travel in the binary v2 framing (package codec), whose
 // per-frame CRC lets a corrupted stream resynchronize instead of dying.
@@ -29,8 +37,10 @@ import (
 	"sync"
 	"time"
 
+	"distwindow/internal/core"
 	"distwindow/internal/obs"
 	"distwindow/internal/obs/telemetry"
+	"distwindow/internal/tenant"
 	"distwindow/internal/trace"
 	"distwindow/internal/wire/codec"
 	"distwindow/mat"
@@ -62,24 +72,19 @@ const (
 // per logical stream, Ĉ = Σ Delta·vvᵀ (Delta = ±1 by Kind when a frame
 // carries 0) plus the scalar sum estimate. Safe for concurrent use.
 //
-// Frames carry a StreamID ("" = the default stream); each distinct id
-// gets its own estimate, created on first frame. Every stream shares the
-// coordinator's dimension d — heterogeneous dimensions need separate
-// coordinators. The un-suffixed accessors (Sketch, Sum) read the default
-// stream, so single-stream deployments are unchanged.
+// Frames carry a StreamID; each distinct id gets its own entry, created on
+// its first frame. The default stream "" is an ordinary entry created at
+// construction, and the un-suffixed accessors (Sketch, Sum) read it. Every
+// stream shares the coordinator's dimension d — heterogeneous dimensions
+// need separate coordinators. An entry holds its stream's Ĉ, sum and
+// delivery records under one lock (see the package doc); a query freezes
+// Ĉ under that lock with core.FreezeGram and factors it outside.
 //
 // The traffic counters are atomic, so Metrics (and the mux returned by
-// MetricsMux) can be read while connections stream; only the matrix state
-// is behind the mutex.
+// MetricsMux) can be read while connections stream.
 type Coordinator struct {
-	d  int
-	mu sync.Mutex
-
-	// def is the default stream's estimate (always present); streams holds
-	// the non-default estimates, lazily created on first frame. Both are
-	// guarded by mu.
-	def     streamEst
-	streams map[string]*streamEst
+	d       int
+	streams *tenant.Map[*coordStream]
 
 	msgs     obs.Counter
 	bytes    obs.Counter
@@ -97,12 +102,6 @@ type Coordinator struct {
 	// serving; read without synchronization, like sink and tracer.
 	fleet *telemetry.Fleet
 
-	// Per-(site, stream) delivery and liveness state: highest consumed
-	// sequence number (the dedup horizon for replayed frames) and when the
-	// sender was last heard from. Guarded by siteMu, not mu — liveness
-	// bookkeeping must not serialize against the matrix fold.
-	siteMu     sync.Mutex
-	siteStates map[siteKey]*siteState
 	staleAfter time.Duration
 	now        func() time.Time
 
@@ -112,26 +111,32 @@ type Coordinator struct {
 	closed bool
 }
 
-// streamEst is one logical stream's coordinator estimate.
-type streamEst struct {
+// coordStream is one logical stream's coordinator state. Everything in it
+// is guarded by mu.
+type coordStream struct {
+	mu   sync.Mutex
 	chat *mat.Dense
 	sum  float64
+	// sites holds the per-site delivery records: exactly-once delivery
+	// holds per (site, stream), so dedup and liveness are recorded at the
+	// same granularity.
+	sites map[int]*siteState
 }
 
-// siteKey identifies one sender's sequence space: exactly-once delivery
-// holds per (site, stream), so dedup and liveness are recorded at the
-// same granularity.
-type siteKey struct {
-	site   int
-	stream string
-}
-
-// siteState is the coordinator's per-(site, stream) delivery record.
+// siteState is the coordinator's delivery record of one site on one
+// stream: the highest consumed sequence number (the dedup horizon for
+// replayed frames) and when the sender was last heard from.
 type siteState struct {
 	lastSeq  uint64
 	lastT    int64
 	lastSeen time.Time
 	stale    bool
+}
+
+// siteKey identifies one sender's sequence space.
+type siteKey struct {
+	site   int
+	stream string
 }
 
 // NewCoordinator returns a coordinator for d-dimensional directions,
@@ -141,28 +146,62 @@ func NewCoordinator(d int, opts ...CoordinatorOption) *Coordinator {
 	if d < 1 {
 		panic("wire: d must be positive")
 	}
-	c := &Coordinator{d: d, def: streamEst{chat: mat.NewDense(d, d)}, now: time.Now}
+	c := &Coordinator{d: d, streams: tenant.NewMap[*coordStream](0), now: time.Now}
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.stream("")
 	return c
 }
 
-// est returns the estimate for one stream, creating it on first use.
-// Callers must hold mu.
-func (c *Coordinator) est(stream string) *streamEst {
-	if stream == "" {
-		return &c.def
-	}
-	e := c.streams[stream]
-	if e == nil {
-		e = &streamEst{chat: mat.NewDense(c.d, c.d)}
-		if c.streams == nil {
-			c.streams = make(map[string]*streamEst)
-		}
-		c.streams[stream] = e
-	}
+// stream returns one stream's entry, creating it on first use. The
+// constructor cannot fail, so LoadOrCreate's error is always nil.
+func (c *Coordinator) stream(id string) *coordStream {
+	e, _, _ := c.streams.LoadOrCreate(id, func() (*coordStream, error) {
+		return &coordStream{chat: mat.NewDense(c.d, c.d), sites: make(map[int]*siteState)}, nil
+	})
 	return e
+}
+
+// each calls fn for every stream, under that stream's lock.
+func (c *Coordinator) each(fn func(id string, e *coordStream)) {
+	c.streams.Range(func(id string, e *coordStream) bool {
+		e.mu.Lock()
+		fn(id, e)
+		e.mu.Unlock()
+		return true
+	})
+}
+
+// record returns one site's delivery record, creating it on first use.
+// Callers hold e.mu.
+func (e *coordStream) record(site int) *siteState {
+	st := e.sites[site]
+	if st == nil {
+		st = &siteState{}
+		e.sites[site] = st
+	}
+	return st
+}
+
+// admit records liveness for the sender and, for sequenced frames,
+// reports whether the frame is new (true) or a replay of one already
+// consumed (false); resync reports that the sender was stale until now.
+// The dedup horizon advances for every fresh sequenced frame — including
+// frames Apply goes on to reject — so a poison frame is consumed once, not
+// re-rejected on every replay. Callers hold e.mu.
+func (e *coordStream) admit(m Msg, now time.Time) (fresh, resync bool) {
+	st := e.record(m.Site)
+	st.lastSeen = now
+	resync, st.stale = st.stale, false
+	fresh = m.Seq == 0 || m.Seq > st.lastSeq
+	if m.Seq > st.lastSeq {
+		st.lastSeq = m.Seq
+	}
+	if m.T > st.lastT {
+		st.lastT = m.T
+	}
+	return fresh, resync
 }
 
 // reject counts a malformed message and reports it to the sink. Frames
@@ -174,55 +213,17 @@ func (c *Coordinator) reject(m Msg) {
 	}
 }
 
-// admit records liveness for the sender and, for sequenced frames,
-// reports whether the frame is new (true) or a replay of one already
-// consumed (false). The dedup horizon advances for every fresh sequenced
-// frame — including frames Apply goes on to reject — so a poison frame is
-// consumed once, not re-rejected on every replay. The horizon is keyed by
-// (site, stream): multiplexed streams carry independent sequence spaces.
-func (c *Coordinator) admit(m Msg) bool {
-	c.siteMu.Lock()
-	if c.siteStates == nil {
-		c.siteStates = make(map[siteKey]*siteState)
-	}
-	key := siteKey{site: m.Site, stream: m.StreamID}
-	st := c.siteStates[key]
-	if st == nil {
-		st = &siteState{}
-		c.siteStates[key] = st
-	}
-	st.lastSeen = c.now()
-	wasStale := st.stale
-	st.stale = false
-	fresh := m.Seq == 0 || m.Seq > st.lastSeq
-	if m.Seq > st.lastSeq {
-		st.lastSeq = m.Seq
-	}
-	if m.T > st.lastT {
-		st.lastT = m.T
-	}
-	c.siteMu.Unlock()
-	if wasStale && c.sink != nil {
-		c.sink.OnEvent(obs.Event{Kind: obs.EvSiteResync, Site: m.Site, T: m.T})
-	}
-	if !fresh {
-		c.dups.Inc()
-		if c.sink != nil {
-			c.sink.OnEvent(obs.Event{Kind: obs.EvMsgDeduped, Site: m.Site, T: m.T})
-		}
-	}
-	return fresh
-}
-
 // Apply folds one message into the coordinator state. Sequenced frames
 // (Seq != 0) the coordinator has already consumed are dropped — counted
 // in DupMsgs, reported as EvMsgDeduped — and return nil: a replayed delta
-// was applied exactly once already.
+// was applied exactly once already. The frame is admitted and folded
+// under its stream's lock, so a concurrent Snapshot sees it wholly or not
+// at all; sink events are emitted after the lock is released.
 func (c *Coordinator) Apply(m Msg) error {
 	if m.Kind == Telemetry {
-		// Telemetry bypasses admit() and the traffic counters entirely: it
-		// must not advance dedup horizons, refresh data-plane liveness or
-		// perturb Msgs/Bytes, so a soak with telemetry enabled stays
+		// Telemetry bypasses admission and the traffic counters entirely:
+		// it must not advance dedup horizons, refresh data-plane liveness
+		// or perturb Msgs/Bytes, so a soak with telemetry enabled stays
 		// bit-identical to one without.
 		c.teleMsgs.Inc()
 		if c.fleet != nil && m.Tele != nil {
@@ -230,50 +231,31 @@ func (c *Coordinator) Apply(m Msg) error {
 		}
 		return nil
 	}
+	e := c.stream(m.StreamID)
+	e.mu.Lock()
+	fresh, resync := true, false
 	if m.Site >= 0 {
-		if !c.admit(m) {
-			return nil
-		}
-	}
-	// A CRC-valid frame can still carry NaN or ±Inf, and one such value
-	// folded into Ĉ or the sum poisons it for good. The frame has already
-	// consumed its sequence number above, like every other rejected frame.
-	if !mat.AllFinite(m.V...) || !mat.AllFinite(m.Delta) {
-		c.reject(m)
-		return errors.New("wire: non-finite value in frame")
-	}
-	if c.tracer != nil && m.Trace != 0 {
-		sp := c.tracer.StartLinked(trace.Context{Trace: m.Trace, Span: m.Span}, trace.OpApply, m.Site, m.T)
-		defer sp.End()
+		fresh, resync = e.admit(m, c.now())
 	}
 	var payload int64
-	switch m.Kind {
-	case DirectionAdd, DirectionRemove:
-		if len(m.V) != c.d {
-			c.reject(m)
-			return fmt.Errorf("wire: direction length %d, want %d", len(m.V), c.d)
+	var err error
+	if fresh {
+		payload, err = c.fold(e, m)
+	}
+	e.mu.Unlock()
+	if resync && c.sink != nil {
+		c.sink.OnEvent(obs.Event{Kind: obs.EvSiteResync, Site: m.Site, T: m.T})
+	}
+	if !fresh {
+		c.dups.Inc()
+		if c.sink != nil {
+			c.sink.OnEvent(obs.Event{Kind: obs.EvMsgDeduped, Site: m.Site, T: m.T})
 		}
-		payload = int64(8 * (len(m.V) + 3))
-		// Delta is the rank-one scale when it is not ±1 (0 = ±1 by Kind):
-		// Ĉ += Delta·VVᵀ is exactly the in-process tracker's Apply.
-		scale := m.Delta
-		if scale == 0 {
-			scale = 1
-			if m.Kind == DirectionRemove {
-				scale = -1
-			}
-		}
-		c.mu.Lock()
-		mat.OuterAdd(c.est(m.StreamID).chat, m.V, scale)
-		c.mu.Unlock()
-	case SumDelta:
-		payload = 8 * 3
-		c.mu.Lock()
-		c.est(m.StreamID).sum += m.Delta
-		c.mu.Unlock()
-	default:
+		return nil
+	}
+	if err != nil {
 		c.reject(m)
-		return fmt.Errorf("wire: unknown message kind %d", m.Kind)
+		return err
 	}
 	c.msgs.Inc()
 	c.bytes.Add(payload)
@@ -284,25 +266,59 @@ func (c *Coordinator) Apply(m Msg) error {
 	return nil
 }
 
+// fold validates one admitted frame and folds it into the stream's
+// estimate, returning its approximate payload size. A rejected frame has
+// already consumed its sequence number in admit. Callers hold e.mu.
+func (c *Coordinator) fold(e *coordStream, m Msg) (int64, error) {
+	// A CRC-valid frame can still carry NaN or ±Inf, and one such value
+	// folded into Ĉ or the sum poisons it for good.
+	if !mat.AllFinite(m.V...) || !mat.AllFinite(m.Delta) {
+		return 0, errors.New("wire: non-finite value in frame")
+	}
+	if c.tracer != nil && m.Trace != 0 {
+		sp := c.tracer.StartLinked(trace.Context{Trace: m.Trace, Span: m.Span}, trace.OpApply, m.Site, m.T)
+		defer sp.End()
+	}
+	switch m.Kind {
+	case DirectionAdd, DirectionRemove:
+		if len(m.V) != c.d {
+			return 0, fmt.Errorf("wire: direction length %d, want %d", len(m.V), c.d)
+		}
+		// Delta is the rank-one scale when it is not ±1 (0 = ±1 by Kind):
+		// Ĉ += Delta·VVᵀ is exactly the in-process tracker's Apply.
+		scale := m.Delta
+		if scale == 0 {
+			scale = 1
+			if m.Kind == DirectionRemove {
+				scale = -1
+			}
+		}
+		mat.OuterAdd(e.chat, m.V, scale)
+		return int64(8 * (len(m.V) + 3)), nil
+	case SumDelta:
+		e.sum += m.Delta
+		return 8 * 3, nil
+	}
+	return 0, fmt.Errorf("wire: unknown message kind %d", m.Kind)
+}
+
 // Sketch returns B = Σ^{1/2}Vᵀ of the default stream's PSD-clipped Ĉ.
 func (c *Coordinator) Sketch() *mat.Dense { return c.SketchOf("") }
 
-// SketchOf returns B = Σ^{1/2}Vᵀ of one stream's PSD-clipped Ĉ. A stream
-// the coordinator has never heard from yields the zero sketch.
+// SketchOf returns B = Σ^{1/2}Vᵀ of one stream's PSD-clipped Ĉ, a copy
+// owned by the caller. A stream the coordinator has never heard from
+// yields the zero sketch.
 func (c *Coordinator) SketchOf(stream string) *mat.Dense {
 	sp := c.tracer.StartDetached(trace.OpQuery, -1, 0)
 	defer sp.End()
-	c.mu.Lock()
-	var chat *mat.Dense
-	if stream == "" {
-		chat = c.def.chat.Clone()
-	} else if e := c.streams[stream]; e != nil {
-		chat = e.chat.Clone()
-	} else {
-		chat = mat.NewDense(c.d, c.d)
+	e, ok := c.streams.Get(stream)
+	if !ok {
+		return mat.NewDense(0, c.d)
 	}
-	c.mu.Unlock()
-	return mat.PSDSqrt(chat)
+	e.mu.Lock()
+	g := core.FreezeGram(e.chat)
+	e.mu.Unlock()
+	return g.Sketch()
 }
 
 // Sum returns the default stream's scalar estimate.
@@ -310,28 +326,22 @@ func (c *Coordinator) Sum() float64 { return c.SumOf("") }
 
 // SumOf returns one stream's scalar estimate (0 for an unseen stream).
 func (c *Coordinator) SumOf(stream string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if stream == "" {
-		return c.def.sum
+	e, ok := c.streams.Get(stream)
+	if !ok {
+		return 0
 	}
-	if e := c.streams[stream]; e != nil {
-		return e.sum
-	}
-	return 0
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sum
 }
 
-// Streams lists the non-default stream ids heard from, sorted. The
-// default stream "" always exists and is not listed.
+// Streams lists, sorted, the non-default stream ids a site has sent on,
+// including a stream whose every frame was rejected. The default stream
+// "" always exists and is not listed.
 func (c *Coordinator) Streams() []string {
-	c.mu.Lock()
-	out := make([]string, 0, len(c.streams))
-	for id := range c.streams {
-		out = append(out, id)
-	}
-	c.mu.Unlock()
-	sort.Strings(out)
-	return out
+	ids := c.streams.Keys()
+	sort.Strings(ids)
+	return ids[1:] // "" sorts first
 }
 
 // Stats returns messages received and approximate payload bytes.
@@ -367,22 +377,22 @@ func (c *Coordinator) CheckLiveness() int {
 		return 0
 	}
 	cut := c.now().Add(-c.staleAfter)
-	var went []siteKey
+	var went []int
 	stale := 0
-	c.siteMu.Lock()
-	for key, st := range c.siteStates {
-		if st.lastSeen.Before(cut) {
-			if !st.stale {
-				st.stale = true
-				went = append(went, key)
+	c.each(func(_ string, e *coordStream) {
+		for site, st := range e.sites {
+			if st.lastSeen.Before(cut) {
+				if !st.stale {
+					st.stale = true
+					went = append(went, site)
+				}
+				stale++
 			}
-			stale++
 		}
-	}
-	c.siteMu.Unlock()
+	})
 	if c.sink != nil {
-		for _, key := range went {
-			c.sink.OnEvent(obs.Event{Kind: obs.EvSiteStale, Site: key.site})
+		for _, site := range went {
+			c.sink.OnEvent(obs.Event{Kind: obs.EvSiteStale, Site: site})
 		}
 	}
 	return stale
@@ -392,15 +402,15 @@ func (c *Coordinator) CheckLiveness() int {
 // delivery records, sorted by site then stream.
 func (c *Coordinator) SiteStatuses() []SiteStatus {
 	c.CheckLiveness()
-	c.siteMu.Lock()
-	out := make([]SiteStatus, 0, len(c.siteStates))
-	for key, st := range c.siteStates {
-		out = append(out, SiteStatus{
-			Site: key.site, Stream: key.stream, LastSeq: st.lastSeq, LastT: st.lastT,
-			LastSeen: st.lastSeen, Stale: st.stale,
-		})
-	}
-	c.siteMu.Unlock()
+	var out []SiteStatus
+	c.each(func(id string, e *coordStream) {
+		for site, st := range e.sites {
+			out = append(out, SiteStatus{
+				Site: site, Stream: id, LastSeq: st.lastSeq, LastT: st.lastT,
+				LastSeen: st.lastSeen, Stale: st.stale,
+			})
+		}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Site != out[j].Site {
 			return out[i].Site < out[j].Site
@@ -453,16 +463,16 @@ type CoordinatorMetrics struct {
 // connections stream.
 func (c *Coordinator) Metrics() CoordinatorMetrics {
 	stale := int64(c.CheckLiveness())
-	c.siteMu.Lock()
-	sites := make(map[int]struct{}, len(c.siteStates))
-	streams := make(map[string]struct{}, len(c.siteStates))
-	for key := range c.siteStates {
-		sites[key.site] = struct{}{}
-		streams[key.stream] = struct{}{}
-	}
-	seen := int64(len(sites))
-	nstreams := int64(len(streams))
-	c.siteMu.Unlock()
+	sites := make(map[int]struct{})
+	var streams int64
+	c.each(func(_ string, e *coordStream) {
+		for site := range e.sites {
+			sites[site] = struct{}{}
+		}
+		if len(e.sites) > 0 {
+			streams++
+		}
+	})
 	return CoordinatorMetrics{
 		Msgs:             c.msgs.Load(),
 		Bytes:            c.bytes.Load(),
@@ -474,8 +484,8 @@ func (c *Coordinator) Metrics() CoordinatorMetrics {
 		AckedMsgs:        c.acks.Load(),
 		NackMsgs:         c.nacks.Load(),
 		TelemetryFrames:  c.teleMsgs.Load(),
-		SitesSeen:        seen,
-		Streams:          nstreams,
+		SitesSeen:        int64(len(sites)),
+		Streams:          streams,
 		StaleSites:       stale,
 		Conns:            c.conns.Load(),
 	}
@@ -638,9 +648,13 @@ func (c *Coordinator) HandleConn(conn io.Reader) error {
 
 // horizonOf reads one (site, stream) consumed-sequence horizon.
 func (c *Coordinator) horizonOf(key siteKey) uint64 {
-	c.siteMu.Lock()
-	defer c.siteMu.Unlock()
-	if st := c.siteStates[key]; st != nil {
+	e, ok := c.streams.Get(key.stream)
+	if !ok {
+		return 0
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if st := e.sites[key.site]; st != nil {
 		return st.lastSeq
 	}
 	return 0

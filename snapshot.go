@@ -38,9 +38,10 @@ const publishEvery = 256
 // publications, Drain, Close and even Registry eviction (its storage is
 // owned copies, never pooled buffers).
 //
-// Derived results (the factored sketch, PCA bases, anomaly scorers) are
-// computed lazily once per snapshot and cached, so N concurrent queriers
-// of one version share a single O(d³) factorization.
+// Derived results are computed lazily once per snapshot and cached, so N
+// concurrent queriers of one version share a single O(d³) factorization.
+// The protocol.CoordSnapshot underneath caches the factored sketch; PCA
+// bases and anomaly scorers are cached here.
 type Snapshot struct {
 	version     uint64
 	deliveredAt int64
@@ -49,7 +50,6 @@ type Snapshot struct {
 	coord       protocol.CoordSnapshot
 
 	mu      sync.Mutex
-	sketch  *mat.Dense
 	pca     map[int]PCA
 	scorers map[int]*AnomalyScorer
 }
@@ -76,7 +76,7 @@ func (s *Snapshot) Protocol() string { return s.proto }
 // Sketch returns the snapshot's covariance sketch B (see Tracker.Sketch).
 // The result is a fresh copy owned by the caller; the underlying
 // factorization is computed once per snapshot and cached.
-func (s *Snapshot) Sketch() *mat.Dense { return s.cachedSketch().Clone() }
+func (s *Snapshot) Sketch() *mat.Dense { return s.coord.Sketch() }
 
 // SketchGram returns a copy of the snapshot's coordinator Gram estimate
 // Ĉ ≈ A_wᵀA_w when the protocol maintains one (the deterministic family;
@@ -118,19 +118,6 @@ func (s *Snapshot) AnomalyScorer(k int) *AnomalyScorer {
 	return sc
 }
 
-func (s *Snapshot) cachedSketch() *mat.Dense {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sketchLocked()
-}
-
-func (s *Snapshot) sketchLocked() *mat.Dense {
-	if s.sketch == nil {
-		s.sketch = s.coord.Sketch()
-	}
-	return s.sketch
-}
-
 func (s *Snapshot) cachedPCA(k int) PCA {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,7 +128,7 @@ func (s *Snapshot) pcaLocked(k int) PCA {
 	if p, ok := s.pca[k]; ok {
 		return p
 	}
-	p := SketchPCA(s.sketchLocked(), k)
+	p := SketchPCA(s.coord.Sketch(), k)
 	if s.pca == nil {
 		s.pca = make(map[int]PCA)
 	}
