@@ -102,14 +102,12 @@ func Restore(r io.Reader, opts ...Option) (*Tracker, error) {
 	var t *Tracker
 	switch {
 	case env.DA1 != nil:
-		env.DA1.Cfg = env.DA1.Cfg.WithPools(o.pools)
 		inner, err := core.RestoreDA1(*env.DA1, net)
 		if err != nil {
 			return nil, err
 		}
 		t = newTracker(inner, net, env.Config)
 	case env.DA2 != nil:
-		env.DA2.Cfg = env.DA2.Cfg.WithPools(o.pools)
 		inner, err := core.RestoreDA2(*env.DA2, net)
 		if err != nil {
 			return nil, err

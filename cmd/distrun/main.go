@@ -10,19 +10,10 @@
 // checks each stream against its own exact window. N = 1 (the default)
 // runs on the default stream "".
 //
-// With -pipeline the same dataset instead runs in-process through the
-// parallel per-site ingestion pipeline (distwindow.New with WithParallel):
-// one feeder goroutine per site, site-local work on the pipeline's
-// workers, coordinator updates merged in global (T, site) order. -workers
-// sizes the pipeline (0 = one per core) and -batch sizes the feeders'
-// ObserveBatch runs (1 = row-at-a-time TryObserve); the end-of-run report
-// prints the achieved rows/s per worker.
-//
 // Usage:
 //
 //	distrun -proto da2 -sites 8 -rows 30000 -d 24
 //	distrun -proto da1 -sites 4 -rows 30000 -d 24 -streams 3
-//	distrun -proto da2 -sites 8 -rows 30000 -d 24 -pipeline -workers 4 -batch 64
 package main
 
 import (
@@ -40,7 +31,6 @@ import (
 
 	"text/tabwriter"
 
-	"distwindow"
 	"distwindow/internal/audit"
 	"distwindow/internal/chaos"
 	"distwindow/internal/obs"
@@ -65,9 +55,6 @@ func main() {
 		traceN  = flag.Int("trace-sample", 0, "causal tracing: trace 1-in-N ingested rows (0 = off); export at /debug/trace and -trace-out")
 		traceO  = flag.String("trace-out", "", "write the Chrome trace-event JSON to this path at exit (requires -trace-sample)")
 		liveAud = flag.Bool("live-audit", false, "run the live ε-error auditor against the coordinator's sketch; panel at /debug/audit")
-		pipe    = flag.Bool("pipeline", false, "run in-process through the parallel per-site pipeline instead of TCP")
-		pipeW   = flag.Int("workers", 0, "pipeline worker goroutines, 0 = one per core (requires -pipeline)")
-		batch   = flag.Int("batch", 64, "rows per ObserveBatch run in the pipeline feeders, 1 = row-at-a-time (requires -pipeline)")
 		nStream = flag.Int("streams", 1, "multiplex this many logical streams over the per-site connections (each stream is an independent window; implies -resilient)")
 
 		tele      = flag.Bool("telemetry", false, "fleet telemetry: sites publish counter frames over their wire connections; coordinator aggregates, serves Prometheus /metrics and /debug/fleet, and prints a fleet report at exit")
@@ -88,19 +75,6 @@ func main() {
 		log.Fatal("-chaos-* flags inject faults the bare sender cannot survive; add -resilient")
 	}
 
-	if *pipe {
-		if *nStream > 1 {
-			log.Fatal("-streams multiplexes TCP connections; it cannot be combined with -pipeline")
-		}
-		if *tele {
-			log.Fatal("-telemetry piggybacks frames on the wire; it cannot be combined with -pipeline")
-		}
-		if *batch < 1 {
-			log.Fatal("-batch must be ≥ 1")
-		}
-		runPipeline(*proto, *m, *rows, *d, *w, *eps, *seed, *pipeW, *batch)
-		return
-	}
 	if *nStream < 1 {
 		log.Fatal("-streams must be ≥ 1")
 	}
@@ -437,8 +411,7 @@ type event struct {
 // streams, timestamps 1..perStream, in timestamp order. Each stream draws
 // its values from its own RNG and every row draws its site from one shared
 // RNG, each seeded apart, so the streams interleave across connections and
-// no site choice repeats a value draw. The TCP run and -pipeline (n = 1)
-// stream the same dataset.
+// no site choice repeats a value draw.
 func genEvents(n, perStream, m, d int, seed int64) []event {
 	siteRng := rand.New(rand.NewSource(seed))
 	valRngs := make([]*rand.Rand, n)
@@ -467,88 +440,6 @@ func newSite(proto string, cfg wire.SiteConfig, out wire.Sender) (site, error) {
 		return wire.NewDA2Site(cfg, out)
 	}
 	return nil, fmt.Errorf("unknown protocol %q", proto)
-}
-
-// runPipeline streams a generated dataset through the in-process
-// parallel pipeline: the event stream is partitioned by site and each
-// site's subsequence is fed by its own goroutine, so ingestion parallelism
-// comes from the pipeline's workers rather than TCP connections. Feeders
-// hand rows to the lane rings in ObserveBatch runs of the given batch size
-// (one ring block and one worker wakeup per run); batch 1 falls back to
-// row-at-a-time TryObserve.
-func runPipeline(proto string, m, rows, d int, w int64, eps float64, seed int64, workers, batch int) {
-	var p distwindow.Protocol
-	switch proto {
-	case "da1":
-		p = distwindow.DA1
-	case "da2":
-		p = distwindow.DA2
-	default:
-		log.Fatalf("-pipeline supports da1 and da2, not %q", proto)
-	}
-	tr, err := distwindow.New(distwindow.Config{
-		Protocol: p, D: d, W: w, Eps: eps, Sites: m, Seed: seed,
-	}, distwindow.WithParallel(workers))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tr.Close()
-
-	// The TCP run's generator and seed, so the two modes stream the
-	// identical dataset; rows are partitioned by site for the feeders.
-	evs := genEvents(1, rows, m, d, seed)
-	rowsOf := make([][]distwindow.Row, m)
-	for _, e := range evs {
-		rowsOf[e.site] = append(rowsOf[e.site], distwindow.Row{T: e.t, V: e.v})
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for si := 0; si < m; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			rs := rowsOf[si]
-			if batch <= 1 {
-				for _, r := range rs {
-					if err := tr.TryObserve(si, r); err != nil {
-						log.Printf("site %d: %v", si, err)
-						return
-					}
-				}
-				return
-			}
-			for len(rs) > 0 {
-				n := min(batch, len(rs))
-				if _, err := tr.ObserveBatch(si, rs[:n]); err != nil {
-					log.Printf("site %d: %v", si, err)
-					return
-				}
-				rs = rs[n:]
-			}
-		}(si)
-	}
-	wg.Wait()
-	tr.Drain()
-	elapsed := time.Since(start)
-
-	truth := window.NewExact(w)
-	for _, e := range evs {
-		truth.Add(stream.Row{T: e.t, V: e.v})
-	}
-	b := tr.Sketch()
-	met := tr.Metrics()
-	fmt.Printf("protocol:         %s in-process pipeline, %d sites\n", proto, m)
-	fmt.Printf("streamed:         %d rows (d=%d) in %v\n", rows, d, elapsed.Round(time.Millisecond))
-	nw := tr.ParallelWorkers()
-	rate := float64(rows) / elapsed.Seconds()
-	fmt.Printf("ingest:           %.0f rows/s over %d workers (%.0f rows/s/worker, batch %d)\n",
-		rate, nw, rate/float64(nw), batch)
-	fmt.Printf("covariance error: %.4f (target ε=%.3g)\n", truth.CovErr(d, b), eps)
-	fmt.Printf("traffic:          %d msgs up, %.1f KiB equivalent payload\n",
-		met.Net.MsgsUp, float64(met.Net.WordsUp)*8/1024)
-	raw := float64(truth.Len()*(d+2)) * 8 / 1024
-	fmt.Printf("vs. shipping the active window: %.1f KiB\n", raw)
 }
 
 // printFleetReport renders the coordinator's fleet telemetry view as the

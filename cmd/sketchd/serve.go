@@ -36,8 +36,8 @@ import (
 // publishes the version those queries see.
 // Ingest and evict for one stream serialize on a per-stream gate (the
 // facade's single-ingester contract enforced server-side); a query that
-// races an eviction gets HTTP 409, not a hang and not a read of reclaimed
-// state. Different streams never contend.
+// races an eviction gets HTTP 409, not a hang. Different streams never
+// contend.
 func runServe(addr string, pprofOn bool) {
 	reg := distwindow.NewRegistry()
 	defer reg.Close()
@@ -160,8 +160,8 @@ func (s *serveState) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g := s.lockStream(id)
 	defer g.mu.Unlock()
 	// Resolve the tracker under the gate: an eviction cannot slip between
-	// the lookup and the rows, so ingest never runs into a released
-	// (pool-donated) tracker.
+	// the lookup and the rows, so a batch lands whole in a live stream or
+	// is refused with 404, never cut short by ErrClosed.
 	tr, ok := s.reg.Get(id)
 	if !ok {
 		// The gate may have been created just now for an id that does not

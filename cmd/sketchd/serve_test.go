@@ -222,7 +222,7 @@ func TestServeGateLeak(t *testing.T) {
 // TestServeConcurrentChurn hammers ingest, query and evict/reopen for the
 // same streams from many goroutines. Run under -race this is the
 // regression test for the evict/ingest double-mutex window and for queries
-// touching reclaimed (pool-donated) tracker state: every response must be
+// touching an evicted tracker: every response must be
 // one of 200/404/409, and the process must neither race nor deadlock.
 func TestServeConcurrentChurn(t *testing.T) {
 	reg := distwindow.NewRegistry()

@@ -262,8 +262,10 @@ type Tracker struct {
 	pipe  *protocol.Pipeline
 	ow    protocol.OneWay
 	lanes []laneState
-	// closed flips once in Close; queries stay usable afterwards, ingest
-	// does not. Atomic so serving tiers can check it from any goroutine.
+	// closed flips once in Close, under the exclusive gate. Ingest calls
+	// read it under the shared gate, so each lands before the close or
+	// returns ErrClosed; queries stay usable afterwards. Atomic so serving
+	// tiers can check it from any goroutine.
 	closed atomic.Bool
 
 	// lastAppliedT is the emission time of the last update applied at the
@@ -313,14 +315,14 @@ func New(cfg Config, opts ...Option) (*Tracker, error) {
 }
 
 // newWithOptions is New after option folding; the Registry calls it
-// directly so it can adjust the folded settings (sink fan-out, shared
-// pools) before construction.
+// directly so it can fan the folded sink out to its tallies before
+// construction.
 func newWithOptions(cfg Config, o *options) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	net := protocol.NewNetwork(cfg.Sites)
-	ccfg := cfg.coreConfig().WithPools(o.pools)
+	ccfg := cfg.coreConfig()
 	var (
 		inner protocol.Tracker
 		err   error
@@ -432,9 +434,16 @@ const latSampleMask = 15
 // detected on the worker — stale rows are counted in Metrics, never
 // returned as ErrStale. The call blocks for backpressure when the site's
 // ring is full.
+//
+// After Close (or Registry.Evict) TryObserve returns ErrClosed. A call
+// racing Close either lands before it, and is in the final snapshot, or
+// gets ErrClosed.
 func (t *Tracker) TryObserve(site int, r Row) error {
 	t.gate.RLock()
-	err := t.tryObserve1(site, r)
+	err := ErrClosed
+	if !t.closed.Load() {
+		err = t.tryObserve1(site, r)
+	}
 	t.gate.RUnlock()
 	return err
 }
@@ -557,10 +566,14 @@ func (t *Tracker) deliverSkew(site int, r stream.Row) {
 // feeders that can batch amortize nearly all pipeline overhead. As with
 // parallel TryObserve, staleness is detected on the worker and counted in
 // Metrics rather than reported here, so accepted counts the structurally
-// valid rows.
+// valid rows. On a closed tracker it accepts nothing and returns
+// ErrClosed.
 func (t *Tracker) ObserveBatch(site int, rows []Row) (accepted int, err error) {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
+	if t.closed.Load() {
+		return 0, ErrClosed
+	}
 	if t.pipe != nil {
 		return t.observeBatchParallel(site, rows)
 	}
@@ -608,10 +621,14 @@ func (t *Tracker) observeBatchParallel(site int, rows []Row) (accepted int, err 
 // flush is deterministic — and rows that fell behind the already-delivered
 // stream are dropped and counted in Metrics().SkewDropped. Like Drain it
 // then publishes a caught-up snapshot; on a parallel tracker it drains
-// the pipeline, and feeders must be quiescent.
+// the pipeline, and feeders must be quiescent. On a closed tracker it
+// does nothing.
 func (t *Tracker) FlushSkew() {
 	t.gate.Lock()
 	defer t.gate.Unlock()
+	if t.closed.Load() {
+		return
+	}
 	if t.pipe == nil {
 		t.flushSkewSeq()
 	}
@@ -646,10 +663,14 @@ func (t *Tracker) flushSkewSeq() {
 // commits the clock: buffered rows older than now will be dropped when
 // released. On a parallel tracker Advance broadcasts the new clock to
 // every site's lane (feeders must be quiescent); the expiry work itself
-// runs on the workers and is awaited by the next Drain or query.
+// runs on the workers and is awaited by the next Drain or query. On a
+// closed tracker it does nothing.
 func (t *Tracker) Advance(now int64) {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
+	if t.closed.Load() {
+		return
+	}
 	if t.pipe != nil {
 		t.pipe.Advance(now)
 		return

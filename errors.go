@@ -19,6 +19,9 @@ var (
 	// rows are dropped and counted in Metrics; they are not an invariant
 	// violation, so ingestion can continue (ObserveBatch skips them).
 	ErrStale = errors.New("distwindow: stale timestamp")
+	// ErrClosed reports ingest into a tracker that was closed, directly or
+	// by Registry.Evict. The row is refused and no state changes.
+	ErrClosed = errors.New("distwindow: tracker closed")
 )
 
 // Sentinel errors returned (wrapped, with detail) by Restore. Match with

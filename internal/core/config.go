@@ -28,19 +28,6 @@ type Config struct {
 	Ell int
 	// Seed drives the protocol's randomness (sampling priorities).
 	Seed int64
-	// pools optionally shares workspace and mEH storage across trackers
-	// (multi-tenant registries); set with WithPools. Unexported so gob
-	// snapshots never serialize it — pools are runtime-only state, and a
-	// struct field pointing at a no-exported-fields type would poison the
-	// whole snapshot encoding. Validate ignores it.
-	pools Pools
-}
-
-// WithPools returns a copy of the config with shared storage pools
-// attached (see Pools). The zero Pools detaches.
-func (c Config) WithPools(p Pools) Config {
-	c.pools = p
-	return c
 }
 
 // FieldError reports which Config field failed validation and why; the

@@ -92,7 +92,7 @@ func newDA1(cfg Config, net *protocol.Network, exact bool) (*DA1, error) {
 			pv:   make([]float64, cfg.D),
 			mv:   make([]float64, cfg.D),
 			diff: mat.NewDense(cfg.D, cfg.D),
-			ws:   cfg.pools.workspace(),
+			ws:   mat.NewWorkspace(),
 		}
 		// The trigger operator y = (C − Ĉ)x, allocated once per site so the
 		// amortized spectral test allocates nothing.
@@ -109,7 +109,6 @@ func newDA1(cfg Config, net *protocol.Network, exact bool) (*DA1, error) {
 			// Run the mEH at ε/2 so structure error plus reporting slack
 			// stay within O(ε) overall.
 			s.hist = meh.New(cfg.W, cfg.D, cfg.Eps/2)
-			cfg.pools.attach(s.hist)
 		}
 		t.sites[i] = s
 	}
@@ -309,19 +308,6 @@ func (t *DA1) sendDirections(s *da1Site, diff *mat.Dense, cutoff float64, emit p
 		if best >= 0 && bl > 0 {
 			send(best)
 		}
-	}
-}
-
-// Release donates the tracker's pooled storage — per-site workspaces and
-// histogram buffers — back to the Config.Pools it was built with (a no-op
-// without pools). The tracker must not be used afterwards.
-func (t *DA1) Release() {
-	for _, s := range t.sites {
-		if s.hist != nil {
-			s.hist.Release()
-		}
-		t.cfg.pools.WS.Put(s.ws)
-		s.ws = nil
 	}
 }
 

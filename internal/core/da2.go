@@ -58,7 +58,8 @@ type da2Site struct {
 	q []iwmt.Msg
 	// e is IWMT_e (compress mode only); resid accumulates what was added
 	// for the previous window minus what has been subtracted so far; ws is
-	// the persistent workspace for the residual eigendecompositions.
+	// the persistent workspace for the residual eigendecompositions, built
+	// on the first drain that has a residual to ship.
 	e     *iwmt.Tracker
 	resid *mat.Dense
 	ws    *mat.Workspace
@@ -285,7 +286,7 @@ func (s *da2Site) drainResidual(emit protocol.Emit) {
 		return
 	}
 	if s.ws == nil {
-		s.ws = t.cfg.pools.workspace()
+		s.ws = mat.NewWorkspace()
 	}
 	eig := mat.EigSymInto(s.resid, s.ws)
 	for i, lam := range eig.Values {
@@ -316,16 +317,6 @@ func (s *da2Site) spaceWords(d int) int64 {
 	}
 	w += int64(s.mass.Buckets()) * 3
 	return w
-}
-
-// Release donates the tracker's pooled storage (the per-site residual
-// workspaces) back to the Config.Pools it was built with (a no-op without
-// pools). The tracker must not be used afterwards.
-func (t *DA2) Release() {
-	for _, s := range t.sites {
-		t.cfg.pools.WS.Put(s.ws)
-		s.ws = nil
-	}
 }
 
 // Sketch returns B = Σ^{1/2}Vᵀ of the PSD-clipped Ĉ (Algorithm 5, QUERY).

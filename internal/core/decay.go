@@ -87,7 +87,7 @@ func NewDecay(cfg Config, gamma float64, net *protocol.Network) (*DecayTracker, 
 			pv:   make([]float64, cfg.D),
 			mv:   make([]float64, cfg.D),
 			diff: mat.NewDense(cfg.D, cfg.D),
-			ws:   cfg.pools.workspace(),
+			ws:   mat.NewWorkspace(),
 		}
 		s.applyOp = func(x, y []float64) {
 			mat.MulVecInto(y, s.c, x)
@@ -229,16 +229,6 @@ func (t *DecayTracker) decayChatTo(now int64) {
 	}
 	mat.ScaleInPlace(t.chat, math.Pow(t.gamma, float64(now-t.chatT)))
 	t.chatT = now
-}
-
-// Release donates the tracker's pooled storage (the per-site workspaces)
-// back to the Config.Pools it was built with (a no-op without pools). The
-// tracker must not be used afterwards.
-func (t *DecayTracker) Release() {
-	for _, s := range t.sites {
-		t.cfg.pools.WS.Put(s.ws)
-		s.ws = nil
-	}
 }
 
 // Sketch returns B with BᵀB ≈ C(now), decayed to the tracker's clock.

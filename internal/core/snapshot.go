@@ -70,7 +70,6 @@ func RestoreDA1(sn DA1Snapshot, net *protocol.Network) (*DA1, error) {
 		}
 		s := t.sites[i]
 		s.hist = h
-		sn.Cfg.pools.attach(h)
 		if err := restoreInto(s.chat, ss.Chat); err != nil {
 			return nil, err
 		}

@@ -77,7 +77,13 @@ func (s *Sketch) shrink() {
 	if s.ws == nil {
 		s.ws = mat.NewWorkspace()
 	}
-	svd := mat.ThinSVDNoU(s.buf.SliceRows(0, s.n), s.ws)
+	// Every Update and Merge shrink runs on a full buffer, decomposed in
+	// place; only Compact's partial shrinks build a row-slice header.
+	a := s.buf
+	if s.n < 2*s.ell {
+		a = s.buf.SliceRows(0, s.n)
+	}
+	svd := mat.ThinSVDNoU(a, s.ws)
 	delta := 0.0
 	if len(svd.S) > s.ell {
 		delta = svd.S[s.ell] * svd.S[s.ell]

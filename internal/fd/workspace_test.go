@@ -129,20 +129,33 @@ func TestRowsViewAndGramAddToMatchCopies(t *testing.T) {
 	}
 }
 
-// TestUpdateSteadyStateAllocFree pins the amortized Update cost —
-// including the SVD shrinks it absorbs — at zero heap allocations per row
-// once the sketch's persistent workspace has been populated.
+// TestUpdateSteadyStateAllocFree pins the amortized Update and Merge cost
+// — including the SVD shrinks they absorb — at zero heap allocations once
+// the sketch's persistent workspace has been populated. Each measured run
+// contains a shrink (2ℓ updates, or a merge of more than 2ℓ rows), so a
+// single allocation per shrink shows: AllocsPerRun truncates its average
+// to an integer, which would hide one spread over per-row runs.
 func TestUpdateSteadyStateAllocFree(t *testing.T) {
+	const ell, d = 8, 16
 	rng := rand.New(rand.NewSource(11))
-	s := New(8, 16)
+	s := New(ell, d)
 	// Warm up past several shrinks so the workspace buffers stabilize.
-	for i := 0; i < 8*8; i++ {
-		s.Update(randRow(rng, 16))
+	for i := 0; i < 8*ell; i++ {
+		s.Update(randRow(rng, d))
 	}
-	row := randRow(rng, 16)
-	// 3*2*ell runs cross multiple shrink cycles, so the measurement covers
-	// the shrink path, not just the cheap append.
-	if n := testing.AllocsPerRun(3*2*8, func() { s.Update(row) }); n != 0 {
-		t.Errorf("fd.Update: %v allocs/row at steady state, want 0", n)
+	rows := make([][]float64, 2*ell)
+	for i := range rows {
+		rows[i] = randRow(rng, d)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		for _, r := range rows {
+			s.Update(r)
+		}
+	}); n != 0 {
+		t.Errorf("fd.Update: %v allocs per 2ℓ rows at steady state, want 0", n)
+	}
+	src := randSketch(rng, 10, d, 20)
+	if n := testing.AllocsPerRun(3, func() { s.Merge(src) }); n != 0 {
+		t.Errorf("fd.Merge: %v allocs per %d-row merge at steady state, want 0", n, src.NumRows())
 	}
 }

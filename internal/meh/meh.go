@@ -50,16 +50,11 @@ type Histogram struct {
 	freeSk  []*fd.Sketch
 	freeRow [][]float64
 	// slab is the backing store fresh row buffers are carved from when
-	// both the freelist and the shared pool miss. A cold histogram's
-	// warm-up (nothing released yet, shared pool only fed by evictions)
-	// would otherwise pay one allocation per Add; the slab amortizes that
-	// to one per slabRows rows, growing geometrically to maxSlabRows.
+	// the freelist misses. A cold histogram's warm-up (nothing released
+	// yet) would otherwise pay one allocation per Add; the slab amortizes
+	// that to one per slabRows rows, growing geometrically to maxSlabRows.
 	slab     []float64
 	slabRows int
-	// shared is an optional cross-histogram pool behind the freelists:
-	// consulted on a freelist miss, donated to by Release. Nil (the
-	// default) keeps the histogram fully self-contained.
-	shared *Pool
 
 	// sink receives bucket lifecycle events (created/merged/expired); nil
 	// — the default — costs one branch per structural change. site tags
@@ -130,36 +125,6 @@ func (h *Histogram) SetTracer(tr *trace.Tracer, site int) {
 	h.site = site
 }
 
-// SetShared installs a cross-histogram storage pool consulted when the
-// private freelists miss (nil uninstalls). Install before feeding data;
-// the field is read without synchronization. The per-row fast path is
-// unchanged: the shared pool is only touched on misses and by Release.
-func (h *Histogram) SetShared(p *Pool) { h.shared = p }
-
-// Release donates the histogram's entire storage — live bucket rows and
-// sketches plus both freelists — to the shared pool installed with
-// SetShared (without one, the storage simply goes to the GC). The
-// histogram must not be used afterwards. Multi-tenant registries call it
-// when a stream is evicted so the next stream opened at the same shape
-// starts warm.
-func (h *Histogram) Release() {
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		h.shared.PutRow(b.row)
-		h.shared.PutSketch(b.sk)
-		*b = bucket{}
-	}
-	for _, r := range h.freeRow {
-		h.shared.PutRow(r)
-	}
-	for _, sk := range h.freeSk {
-		h.shared.PutSketch(sk)
-	}
-	h.buckets, h.scratch, h.freeRow, h.freeSk = nil, nil, nil, nil
-	h.slab, h.slabRows = nil, 0
-	h.pending = 0
-}
-
 // D returns the row dimension.
 func (h *Histogram) D() int { return h.d }
 
@@ -168,10 +133,6 @@ func (h *Histogram) getRow(v []float64) []float64 {
 	if n := len(h.freeRow); n > 0 {
 		r := h.freeRow[n-1]
 		h.freeRow = h.freeRow[:n-1]
-		copy(r, v)
-		return r
-	}
-	if r := h.shared.GetRow(len(v)); r != nil {
 		copy(r, v)
 		return r
 	}
@@ -210,9 +171,6 @@ func (h *Histogram) getSketch() *fd.Sketch {
 	if n := len(h.freeSk); n > 0 {
 		sk := h.freeSk[n-1]
 		h.freeSk = h.freeSk[:n-1]
-		return sk
-	}
-	if sk := h.shared.GetSketch(h.ell, h.d); sk != nil {
 		return sk
 	}
 	return fd.New(h.ell, h.d)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"distwindow/internal/fd"
 	"distwindow/internal/stream"
 	"distwindow/internal/window"
 	"distwindow/mat"
@@ -217,5 +218,55 @@ func TestGramIntoAllocFree(t *testing.T) {
 	dst := mat.NewDense(d, d)
 	if n := testing.AllocsPerRun(50, func() { h.GramInto(dst) }); n != 0 {
 		t.Fatalf("GramInto: %v allocs per call over %d FD buckets, want 0", n, fdBuckets)
+	}
+}
+
+// TestRecycledStorageBitIdentical pins the private freelists' reuse
+// contract: a recycled row or sketch is fully overwritten before it is
+// read, so a histogram that draws dirty recycled storage builds exactly
+// the sketch a fresh one does. The pre-seeded storage is filled with NaN,
+// so any stale value leaking into a bucket breaks the equality.
+func TestRecycledStorageBitIdentical(t *testing.T) {
+	const (
+		d   = 4
+		w   = int64(64)
+		eps = 0.3
+	)
+	feed := func(h *Histogram) {
+		rng := rand.New(rand.NewSource(42))
+		v := make([]float64, d)
+		for i := int64(0); i < 3*w; i++ {
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			h.Add(i, v)
+		}
+	}
+	nan := make([]float64, d)
+	for j := range nan {
+		nan[j] = math.NaN()
+	}
+	dirty := New(w, d, eps)
+	for i := 0; i < maxFreeRows; i++ {
+		dirty.putRow(append([]float64(nil), nan...))
+	}
+	for i := 0; i < maxFreeSketches; i++ {
+		sk := fd.New(dirty.ell, d)
+		for k := 0; k < 2*dirty.ell; k++ {
+			sk.Update(nan)
+		}
+		dirty.putSketch(sk)
+	}
+	feed(dirty)
+	if len(dirty.freeRow) == maxFreeRows || len(dirty.freeSk) == maxFreeSketches {
+		t.Fatalf("feed drew no recycled storage (rows %d, sketches %d free)", len(dirty.freeRow), len(dirty.freeSk))
+	}
+	plain := New(w, d, eps)
+	feed(plain)
+	if !dirty.SketchRows().Equal(plain.SketchRows()) {
+		t.Fatal("sketch built on recycled storage differs from a fresh histogram's")
+	}
+	if dirty.FrobSqEstimate() != plain.FrobSqEstimate() {
+		t.Fatalf("FrobSqEstimate %v on recycled storage, %v fresh", dirty.FrobSqEstimate(), plain.FrobSqEstimate())
 	}
 }

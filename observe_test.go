@@ -2,8 +2,10 @@ package distwindow
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"distwindow/internal/protocol"
 	"distwindow/internal/stream"
@@ -358,4 +360,96 @@ func TestAggregateTryObserve(t *testing.T) {
 		}
 	}()
 	tr.Observe(-1, 1, 1)
+}
+
+// TestClosedTrackerRefusesIngest: after Close (or Registry.Evict) every
+// ingest call returns ErrClosed, Advance and FlushSkew do nothing, and no
+// call hangs — the published version and Ĉ stay where Close left them.
+// The calls run under a deadline so a hang fails the test instead of the
+// suite; 1,000 rows over two sites would overfill each lane's 256-block
+// ring if any were accepted.
+func TestClosedTrackerRefusesIngest(t *testing.T) {
+	cfgs := []Config{
+		{Protocol: DA1, D: 4, W: 100, Eps: 0.3, Sites: 2},
+		{Protocol: DA2, D: 4, W: 100, Eps: 0.3, Sites: 2, MaxSkew: 8},
+	}
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", nil},
+		{"parallel", []Option{WithParallel(2)}},
+	}
+	for _, cfg := range cfgs {
+		for _, m := range modes {
+			t.Run(fmt.Sprintf("%s/%s", cfg.Protocol, m.name), func(t *testing.T) {
+				tr, err := New(cfg, m.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedRows(t, tr, 300)
+				tr.Close()
+				checkClosed(t, tr)
+			})
+		}
+	}
+	for _, m := range modes {
+		t.Run("registry/"+m.name, func(t *testing.T) {
+			reg := NewRegistry()
+			defer reg.Close()
+			tr, _, err := reg.Open("s", cfgs[0], m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedRows(t, tr, 300)
+			reg.Evict("s")
+			checkClosed(t, tr)
+		})
+	}
+}
+
+// feedRows spreads n seeded rows over tr's sites in timestamp order.
+func feedRows(t *testing.T, tr *Tracker, n int) {
+	t.Helper()
+	for i, r := range testRows(n, tr.Config().D, 9) {
+		observe(t, tr, i%tr.Config().Sites, r)
+	}
+}
+
+// checkClosed drives every ingest entry point of a closed tracker under a
+// deadline and checks that none of them moved its published state.
+func checkClosed(t *testing.T, tr *Tracker) {
+	t.Helper()
+	ver := tr.SnapshotVersion()
+	gram, _ := tr.SketchGram()
+	cfg := tr.Config()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rows := testRows(1000, cfg.D, 10)
+		for i, r := range rows {
+			r.T += 1 << 20
+			if err := tr.TryObserve(i%cfg.Sites, r); !errors.Is(err, ErrClosed) {
+				t.Errorf("TryObserve row %d after close: %v, want ErrClosed", i, err)
+				return
+			}
+		}
+		if n, err := tr.ObserveBatch(0, rows); n != 0 || !errors.Is(err, ErrClosed) {
+			t.Errorf("ObserveBatch after close = (%d, %v), want (0, ErrClosed)", n, err)
+		}
+		tr.Advance(1 << 30)
+		tr.FlushSkew()
+		tr.Drain()
+		if g, _ := tr.SketchGram(); !g.Equal(gram) {
+			t.Error("SketchGram moved after close")
+		}
+		if v := tr.SnapshotVersion(); v != ver {
+			t.Errorf("SnapshotVersion %d → %d after close", ver, v)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("a call on the closed tracker did not return")
+	}
 }

@@ -1,7 +1,5 @@
 package distwindow
 
-import "distwindow/internal/core"
-
 // options collects the construction-time settings applied by New.
 type options struct {
 	parallel bool
@@ -14,10 +12,6 @@ type options struct {
 	// publishEvery overrides the parallel coordinator's publication
 	// cadence; set only by tests (withPublishEvery).
 	publishEvery int
-	// pools shares workspace/mEH storage across trackers; set only by the
-	// Registry (withPools) — sharing is an ownership contract the registry
-	// manages, not something callers opt into per tracker.
-	pools core.Pools
 }
 
 // buildOptions folds an option list into its settings struct.
@@ -37,14 +31,6 @@ func buildOptions(opts []Option) *options {
 // versions.
 func withPublishEvery(n int) Option {
 	return func(o *options) { o.publishEvery = n }
-}
-
-// withPools attaches the registry's shared storage pools. Unexported: the
-// Registry owns pool lifecycle (Evict donates a tracker's storage back),
-// and a pool shared wider than its owner could reuse buffers while a
-// released tracker still runs.
-func withPools(p core.Pools) Option {
-	return func(o *options) { o.pools = p }
 }
 
 // Option configures a Tracker at construction. Options are applied by New

@@ -210,9 +210,9 @@ func (t *Tracker) Drain() {
 
 // Close publishes a final caught-up snapshot and stops the pipeline
 // goroutines. The tracker's queries, metrics and previously returned
-// snapshots remain usable afterwards, but no further rows may be observed.
-// Close is idempotent; on a sequential tracker it only publishes and marks
-// the tracker closed (see Closed).
+// snapshots remain usable afterwards; ingest calls return ErrClosed, and
+// Advance and FlushSkew do nothing. Close is idempotent; on a sequential
+// tracker it only publishes and marks the tracker closed (see Closed).
 func (t *Tracker) Close() {
 	if t.closed.Load() {
 		return

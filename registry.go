@@ -9,35 +9,28 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"distwindow/internal/core"
 	"distwindow/internal/obs"
 	"distwindow/internal/tenant"
 )
 
 // Registry owns many concurrently-tracked streams behind one handle: a
-// sharded map of stream id → Tracker, shared storage pools so thousands
-// of tenants reuse decomposition workspaces and mEH bucket storage
-// instead of allocating per stream, and aggregate observability across
-// every stream it owns.
+// sharded map of stream id → Tracker, plus aggregate observability across
+// every stream it owns. Each tracker owns its storage; the registry
+// shares nothing between streams but the map and the event tally.
 //
 // Concurrency: Open, Get, Evict, Range, Len, Metrics and the HTTP
 // handler may all be called concurrently from any goroutine — lookups
 // take only a shard read lock and do not allocate, so a per-row
 // Registry.Get costs nothing against the 0 allocs/row ingest budget.
 // Each Tracker keeps its own concurrency contract (one ingest goroutine
-// per sequential tracker; per-site feeders with WithParallel); the
-// registry adds exactly one rule on top: Evict must not race with
-// ingestion on the stream being evicted, because eviction donates the
-// tracker's storage back to the shared pools and a still-running
-// observer would write into buffers another stream may have claimed.
+// per sequential tracker; per-site feeders with WithParallel), and Evict
+// may race with ingestion on the evicted stream (see Evict).
 //
-// Determinism survives multi-tenancy: pooled buffers are zeroed or
-// fully overwritten on reuse, so a stream tracked through a Registry is
-// bit-for-bit identical to the same stream tracked by a standalone New
-// tracker (the registry determinism test locks this in).
+// Determinism survives multi-tenancy: a stream tracked through a
+// Registry is bit-for-bit identical to the same stream tracked by a
+// standalone New tracker (the registry determinism test locks this in).
 type Registry struct {
 	entries *tenant.Map[*registryEntry]
-	pools   core.Pools
 	// events tallies every stream's events in one place; each entry also
 	// counts privately, so per-stream and aggregate views are both O(1).
 	events  *obs.CountingSink
@@ -51,13 +44,10 @@ type registryEntry struct {
 	events *obs.CountingSink
 }
 
-// NewRegistry returns an empty registry with freshly-created shared
-// pools. Trackers opened through it share workspace and mEH storage;
-// trackers built directly with New never touch a registry's pools.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		entries: tenant.NewMap[*registryEntry](0),
-		pools:   core.NewPools(),
 		events:  &obs.CountingSink{},
 	}
 }
@@ -71,9 +61,9 @@ func NewRegistry() *Registry {
 //
 // The tracker's events flow into the registry's aggregate tally and a
 // per-stream tally (see Metrics and StreamMetrics) as well as any sink
-// passed via WithSink, and its storage draws from the registry's shared
-// pools. Everything else about the returned *Tracker — TryObserve,
-// Advance, Sketch, Estimate, checkpointing — is the ordinary facade API.
+// passed via WithSink. Everything else about the returned *Tracker —
+// TryObserve, Advance, Sketch, Estimate, checkpointing — is the ordinary
+// facade API.
 func (r *Registry) Open(id string, cfg Config, opts ...Option) (t *Tracker, created bool, err error) {
 	if id == "" {
 		return nil, false, fmt.Errorf("distwindow: empty stream id")
@@ -86,7 +76,6 @@ func (r *Registry) Open(id string, cfg Config, opts ...Option) (t *Tracker, crea
 			sinks = append(sinks, o.sink)
 		}
 		o.sink, o.haveSink = sinks, true
-		o.pools = r.pools
 		trk, err := newWithOptions(cfg, o)
 		if err != nil {
 			return nil, err
@@ -143,21 +132,16 @@ func (r *Registry) IngestWorkers(requested, streams int) int {
 	return w
 }
 
-// Evict closes the stream's tracker, donates its pooled storage
-// (workspaces, mEH rows and sketches) back to the registry's shared
-// pools for other streams to reuse, and removes the id. It reports
-// whether the stream existed. The caller must guarantee no goroutine is
-// still observing into the evicted stream; concurrent traffic on other
-// streams is fine.
+// Evict removes the id and closes its tracker. It reports whether the
+// stream existed. An ingest call racing Evict on the same stream either
+// lands before the close, and is in the tracker's final snapshot, or
+// returns ErrClosed; handles obtained earlier stay safe to query.
 func (r *Registry) Evict(id string) bool {
 	e, ok := r.entries.Delete(id)
 	if !ok {
 		return false
 	}
 	e.t.Close()
-	if rel, ok := e.t.inner.(core.Releaser); ok {
-		rel.Release()
-	}
 	r.evicted.Add(1)
 	return true
 }
@@ -174,8 +158,8 @@ func (r *Registry) Range(fn func(id string, t *Tracker) bool) {
 // Len returns the number of open streams.
 func (r *Registry) Len() int { return r.entries.Len() }
 
-// Close evicts every stream. The registry remains usable (a drained
-// pool set and zero streams), so Close doubles as a reset.
+// Close evicts every stream. The registry remains usable (zero streams),
+// so Close doubles as a reset.
 func (r *Registry) Close() {
 	for _, id := range r.entries.Keys() {
 		r.Evict(id)
@@ -194,26 +178,17 @@ type RegistryMetrics struct {
 	// Events tallies every stream's observability events by kind name
 	// (bucket lifecycle, message traffic, skew drops, …).
 	Events map[string]int64
-	// PooledWorkspaces, PooledRows and PooledSketches count idle pooled
-	// storage waiting for reuse — evicted tenants' donations that new
-	// streams will claim instead of allocating.
-	PooledWorkspaces int
-	PooledRows       int
-	PooledSketches   int
 }
 
 // Metrics returns the aggregate snapshot. Safe to call at any time from
 // any goroutine.
 func (r *Registry) Metrics() RegistryMetrics {
-	m := RegistryMetrics{
+	return RegistryMetrics{
 		Streams: r.entries.Len(),
 		Opened:  r.opened.Load(),
 		Evicted: r.evicted.Load(),
 		Events:  r.events.Counts(),
 	}
-	m.PooledWorkspaces = r.pools.WS.Idle()
-	m.PooledRows, m.PooledSketches = r.pools.Meh.Idle()
-	return m
 }
 
 // StreamMetrics returns one stream's tracker Metrics plus its private
@@ -285,9 +260,6 @@ func (r *Registry) WritePrometheusTo(w io.Writer) error {
 	pw.Gauge("distwindow_registry_streams", "Currently open streams.", nil, float64(m.Streams))
 	pw.Counter("distwindow_registry_opened_total", "Streams opened since creation.", nil, float64(m.Opened))
 	pw.Counter("distwindow_registry_evicted_total", "Streams evicted since creation.", nil, float64(m.Evicted))
-	pw.Gauge("distwindow_registry_pooled_workspaces", "Idle pooled decomposition workspaces.", nil, float64(m.PooledWorkspaces))
-	pw.Gauge("distwindow_registry_pooled_rows", "Idle pooled mEH rows.", nil, float64(m.PooledRows))
-	pw.Gauge("distwindow_registry_pooled_sketches", "Idle pooled sketches.", nil, float64(m.PooledSketches))
 	names := make([]string, 0, len(m.Events))
 	for name := range m.Events {
 		names = append(names, name)

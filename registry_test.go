@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // regCfg is the registry tests' default stream configuration: DA1 so the
-// pool-heavy paths (mEH buckets, decomposition workspaces) are exercised.
+// storage-heavy paths (mEH buckets, decomposition workspaces) are exercised.
 func regCfg() Config {
 	return Config{Protocol: DA1, D: 4, W: 128, Eps: 0.3, Sites: 3}
 }
@@ -37,7 +39,7 @@ func feedStream(t *testing.T, tr *Tracker, seed int64, rows int) {
 }
 
 // TestRegistryDeterminism locks in the tentpole guarantee: a stream
-// tracked through a Registry — shared pools, fan-out sinks and all — is
+// tracked through a Registry — sharded map, fan-out sinks and all — is
 // bit-for-bit identical to the same stream tracked by a standalone New
 // tracker.
 func TestRegistryDeterminism(t *testing.T) {
@@ -52,8 +54,8 @@ func TestRegistryDeterminism(t *testing.T) {
 		}
 		feedStream(t, tr, int64(1000+i), rows)
 	}
-	// Interleave an eviction cycle so later streams reuse donated storage
-	// — reused buffers must not leak state between tenants.
+	// Interleave an eviction cycle: a reopened id must start from fresh
+	// state, not the evicted tracker's.
 	reg.Evict("s0")
 	trEvictRedo, _, err := reg.Open("s0", regCfg())
 	if err != nil {
@@ -210,12 +212,85 @@ func TestRegistryChurnRace(t *testing.T) {
 	}
 }
 
+// TestRegistryEvictWhileIngesting evicts a stream under its feeders — one
+// per site on a parallel tracker, the one ingest goroutine on a
+// sequential one. Every feeder must stop on ErrClosed, with no panic and
+// no race, and every row a feeder saw accepted must be in the evicted
+// tracker's final snapshot. CI runs it under -race at -cpu 2,4.
+func TestRegistryEvictWhileIngesting(t *testing.T) {
+	modes := []struct {
+		name    string
+		opts    []Option
+		feeders int
+	}{
+		{"sequential", nil, 1},
+		{"parallel", []Option{WithParallel(2)}, 3},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := Config{Protocol: DA1, D: 4, W: 128, Eps: 0.3, Sites: 3}
+			reg := NewRegistry()
+			defer reg.Close()
+			tr, _, err := reg.Open("s", cfg, m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var accepted atomic.Int64
+			var wg sync.WaitGroup
+			for f := 0; f < m.feeders; f++ {
+				wg.Add(1)
+				go func(f int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(f)))
+					v := make([]float64, cfg.D)
+					for i := int64(1); ; i++ {
+						for j := range v {
+							v[j] = rng.NormFloat64()
+						}
+						site := f
+						if m.feeders == 1 {
+							site = int(i) % cfg.Sites
+						}
+						err := tr.TryObserve(site, Row{T: i, V: v})
+						if errors.Is(err, ErrClosed) {
+							return
+						}
+						if err != nil {
+							t.Errorf("feeder %d row %d: %v", f, i, err)
+							return
+						}
+						accepted.Add(1)
+					}
+				}(f)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for accepted.Load() < 500 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if !reg.Evict("s") {
+				t.Fatal("Evict(s) = false")
+			}
+			stopped := make(chan struct{})
+			go func() { wg.Wait(); close(stopped) }()
+			select {
+			case <-stopped:
+			case <-time.After(20 * time.Second):
+				t.Fatal("a feeder did not stop after Evict")
+			}
+			snap, _ := tr.Snapshot()
+			if got, want := snap.Rows(), accepted.Load(); got != want {
+				t.Fatalf("final snapshot holds %d rows, feeders saw %d accepted", got, want)
+			}
+		})
+	}
+}
+
 // TestRegistryIngestAllocs gates the hot path: once a stream is warm, a
 // per-row Get + TryObserve through the registry allocates nothing — the
-// sharded lookup, the fan-out sinks and the shared-pool plumbing all stay
-// off the heap. The feed keeps the window distribution stationary (a
-// fixed row pool, as in the core-layer gate) so the spectral trigger —
-// whose rare reports are allowed to allocate — stays quiet.
+// sharded lookup, the fan-out sinks and the closed check all stay off the
+// heap. The feed keeps the window distribution stationary (a fixed row
+// pool, as in the core-layer gate) so the spectral trigger — whose rare
+// reports are allowed to allocate — stays quiet.
 func TestRegistryIngestAllocs(t *testing.T) {
 	cfg := Config{Protocol: DA1, D: 16, W: 2000, Eps: 0.2, Sites: 1}
 	reg := NewRegistry()
@@ -282,12 +357,12 @@ func TestRegistryIngestWorkers(t *testing.T) {
 
 // TestRegistryColdStreamAllocs pins the many-streams warm-up cost: with
 // 256 cold streams sharing one registry, the whole feed — including each
-// stream's histogram warm-up, which the shared pool cannot serve because
-// it is only fed by evictions — must stay cheap per row. This is the
-// BENCH_PR8 regression (1.497 allocs/row at 256 streams vs 0.497 at 16):
-// every Add during warm-up allocated a fresh row buffer. The mEH row slab
-// now amortizes those to one allocation per slab, so the per-row figure
-// stays bounded as the stream count grows.
+// stream's histogram warm-up, which no earlier stream can serve — must
+// stay cheap per row. This is the BENCH_PR8 regression (1.497 allocs/row
+// at 256 streams vs 0.497 at 16): every Add during warm-up allocated a
+// fresh row buffer. The mEH row slab now amortizes those to one
+// allocation per slab, so the per-row figure stays bounded as the stream
+// count grows.
 func TestRegistryColdStreamAllocs(t *testing.T) {
 	const (
 		nStreams      = 256
@@ -341,36 +416,6 @@ func TestRegistryColdStreamAllocs(t *testing.T) {
 // 1.0 leaves ~15% noise headroom over the fixed figure while still
 // tripping on a warm-up regression of the BENCH_PR8 magnitude.
 const coldStreamAllocBudget = 1.0
-
-// TestRegistryEvictDonatesStorage verifies eviction feeds the shared
-// pools and later opens draw them back down.
-func TestRegistryEvictDonatesStorage(t *testing.T) {
-	reg := NewRegistry()
-	defer reg.Close()
-	tr, _, err := reg.Open("a", regCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStream(t, tr, 3, 300)
-	if !reg.Evict("a") {
-		t.Fatal("Evict(a) = false")
-	}
-	m := reg.Metrics()
-	if m.PooledWorkspaces == 0 || m.PooledRows == 0 {
-		t.Fatalf("after evict: PooledWorkspaces=%d PooledRows=%d, want both > 0",
-			m.PooledWorkspaces, m.PooledRows)
-	}
-	tr2, _, err := reg.Open("b", regCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStream(t, tr2, 4, 300)
-	m2 := reg.Metrics()
-	if m2.PooledRows >= m.PooledRows {
-		t.Fatalf("PooledRows %d → %d: new stream did not reuse donated rows",
-			m.PooledRows, m2.PooledRows)
-	}
-}
 
 // TestRegistryOpen covers the id/constructor edge cases.
 func TestRegistryOpen(t *testing.T) {

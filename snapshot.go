@@ -35,8 +35,8 @@ const publishEvery = 256
 // Snapshot is one immutable published version of the coordinator's sketch
 // state. All methods are safe for concurrent use by any number of
 // goroutines, and a Snapshot stays valid indefinitely — across later
-// publications, Drain, Close and even Registry eviction (its storage is
-// owned copies, never pooled buffers).
+// publications, Drain, Close and even Registry eviction (it owns copies
+// of everything it reads, never the tracker's live buffers).
 //
 // Derived results are computed lazily once per snapshot and cached, so N
 // concurrent queriers of one version share a single O(d³) factorization.
@@ -165,8 +165,12 @@ func (t *Tracker) publishAt(at int64) {
 // the barrier its coordinator goroutine can only run empty passes, which
 // touch no state — then lets the coordinator clock catch up to the sites'
 // emission floor (a no-op for the clock-free protocols), refreshes the
-// bucket gauge and publishes the fully-applied state.
+// bucket gauge and publishes the fully-applied state. A closed tracker's
+// state cannot move, so its final snapshot is returned as is.
 func (t *Tracker) catchUp(flush bool) *Snapshot {
+	if t.closed.Load() {
+		return t.snap.Load()
+	}
 	if t.pipe == nil {
 		if s := t.snap.Load(); s.rows != t.rows.Load() || s.deliveredAt != t.delivered {
 			t.publishAt(t.delivered)
@@ -218,7 +222,7 @@ func (t *Tracker) Snapshot() (*Snapshot, error) { return t.snap.Load(), nil }
 func (t *Tracker) SnapshotVersion() uint64 { return t.snap.Load().version }
 
 // Closed reports whether Close was called. Queries (and snapshots taken
-// earlier) remain usable on a closed tracker; ingestion does not. Safe
+// earlier) remain usable on a closed tracker; ingest returns ErrClosed. Safe
 // from any goroutine — serving tiers use it to turn queries against an
 // evicted stream into an error instead of undefined behavior.
 func (t *Tracker) Closed() bool { return t.closed.Load() }
