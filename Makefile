@@ -43,17 +43,21 @@ fuzz:
 	$(GO) test -fuzz=FuzzSketchGuarantee -fuzztime=30s ./internal/fd/
 	$(GO) test -fuzz=FuzzSkewBufferOrdering -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
+	$(GO) test -fuzz=FuzzHistogramGram -fuzztime=30s ./internal/meh/
 
 # Short fuzz sessions over untrusted-input and numerical kernels. The
 # binary v2 wire decoder must never panic, never loop, and only ever fail
 # with a frame-local CorruptFrameError or an EOF-shaped transport error.
 # The symmetric eigensolver must return on any input, NaN and ±Inf
-# included, and decompose every finite one of moderate norm. The CI fuzz
-# job runs exactly these targets.
+# included, and decompose every finite one of moderate norm. The mEH's
+# kept window Gram must stay within 1e-12 × the live mass of a fresh sum
+# over its buckets after every Add and Advance, and be exactly zero once
+# the histogram empties. The CI fuzz job runs exactly these targets.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMsg -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzDecodeAck -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
+	$(GO) test -fuzz=FuzzHistogramGram -fuzztime=30s ./internal/meh/
 
 # Seeded chaos soak under the race detector: replays the same workload
 # fault-free and under injected transport faults plus a site crash, and

@@ -46,3 +46,71 @@ func TestDA1SiteStepSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("DA1 site step: %v allocs/row at steady state, want 0", n)
 	}
 }
+
+// TestDA1ReportStepAllocatesOnlyShippedDirections covers the report path
+// the steady test above never reaches: at d=32, ε=0.05, a stream whose
+// low-rank regime shifts every 100 rows keeps the trigger firing. Each
+// shipped direction is copied by design (the parallel pipeline retains
+// emitted slices); the histogram, the trigger, the Gram difference and
+// the eigendecomposition must allocate nothing, so over 2,000 rows and at
+// least 50 reports the allocations may not exceed the directions shipped.
+func TestDA1ReportStepAllocatesOnlyShippedDirections(t *testing.T) {
+	const (
+		block   = 2000
+		regime  = 100
+		rank    = 2
+		minRept = 50
+	)
+	cfg := Config{D: 32, W: 500, Eps: 0.05, Sites: 1}
+	tr, err := NewDA1(cfg, protocol.NewNetwork(cfg.Sites))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float64, 3*int(cfg.W)+2*block)
+	basis := make([][]float64, rank)
+	for i := range rows {
+		if i%regime == 0 {
+			for k := range basis {
+				basis[k] = make([]float64, cfg.D)
+				for j := range basis[k] {
+					basis[k][j] = rng.NormFloat64()
+				}
+			}
+		}
+		v := make([]float64, cfg.D)
+		for _, b := range basis {
+			c := rng.NormFloat64()
+			for j := range v {
+				v[j] += c * b[j]
+			}
+		}
+		rows[i] = v
+	}
+	next, directions, reports := 0, 0, 0
+	emit := func(float64, []float64) { directions++ }
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			before := directions
+			tr.ObserveSite(0, stream.Row{T: int64(next + 1), V: rows[next]}, emit)
+			next++
+			if directions > before {
+				reports++
+			}
+		}
+	}
+	feed(3 * int(cfg.W))
+	// AllocsPerRun runs the block once to warm up and once measured; the
+	// counters are reset per run, so they describe the measured block.
+	allocs := testing.AllocsPerRun(1, func() {
+		directions, reports = 0, 0
+		feed(block)
+	})
+	t.Logf("%d rows: %v allocs, %d directions in %d reports", block, allocs, directions, reports)
+	if reports < minRept {
+		t.Fatalf("%d reports in %d rows, want ≥ %d: the stream no longer exercises the report path", reports, block, minRept)
+	}
+	if allocs > float64(directions) {
+		t.Errorf("%v allocs over %d rows, want ≤ %d (one per shipped direction)", allocs, block, directions)
+	}
+}

@@ -20,11 +20,14 @@ import (
 // Communication is one-way (sites → coordinator), O(md/ε·log NR) words per
 // window; per-site space is O(d/ε²·log NR + d²).
 //
-// The spectral test is amortized: a site re-tests only once the Frobenius
-// mass added plus expired since its last test reaches (ε/4)·F̂² — smaller
-// churn cannot move ‖D‖₂ past the threshold by more than a constant factor
-// of ε, so the guarantee degrades only in constants while the per-row cost
-// drops from O(d²) to O(1) between tests.
+// The histogram keeps C as one d×d matrix in step with its buckets, so a
+// row costs O(d²) to fold in (plus the histogram's amortized compaction),
+// and a spectral test forms D once and power-iterates on it in
+// O(iters·d²), whatever the number of stored bucket rows. The test is
+// amortized: a site re-tests only once the Frobenius mass added plus
+// expired since its last test reaches (ε/4)·F̂² — smaller churn cannot
+// move ‖D‖₂ past the threshold by more than a constant factor of ε, so the
+// guarantee degrades only in constants.
 type DA1 struct {
 	cfg   Config
 	net   *protocol.Network
@@ -52,15 +55,13 @@ type da1Site struct {
 	churn float64
 	lastF float64
 	now   int64
-	// pv is the warm-start vector for the spectral trigger test; mv is the
-	// Ĉ·x scratch of the trigger operator; diff holds C − Ĉ during a report;
-	// ws is the site's persistent decomposition/power-iteration workspace.
-	// All are preallocated so the per-row path stays allocation-free.
-	pv      []float64
-	mv      []float64
-	applyOp func(x, y []float64)
-	diff    *mat.Dense
-	ws      *mat.Workspace
+	// pv is the warm-start vector for the spectral trigger test; diff
+	// holds D = C − Ĉ from a test to its report; ws is the site's
+	// persistent decomposition/power-iteration workspace. All are
+	// preallocated so the per-row path stays allocation-free.
+	pv   []float64
+	diff *mat.Dense
+	ws   *mat.Workspace
 }
 
 var _ protocol.OneWay = (*DA1)(nil)
@@ -90,18 +91,8 @@ func newDA1(cfg Config, net *protocol.Network, exact bool) (*DA1, error) {
 			idx:  i,
 			chat: mat.NewDense(cfg.D, cfg.D),
 			pv:   make([]float64, cfg.D),
-			mv:   make([]float64, cfg.D),
 			diff: mat.NewDense(cfg.D, cfg.D),
 			ws:   mat.NewWorkspace(),
-		}
-		// The trigger operator y = (C − Ĉ)x, allocated once per site so the
-		// amortized spectral test allocates nothing.
-		s.applyOp = func(x, y []float64) {
-			s.applyGram(cfg.D, x, y)
-			mat.MulVecInto(s.mv, s.chat, x)
-			for j := range y {
-				y[j] -= s.mv[j]
-			}
 		}
 		if exact {
 			s.win = window.NewExact(cfg.W)
@@ -131,24 +122,9 @@ func (s *da1Site) frobEst() float64 {
 	return s.hist.FrobSqEstimate()
 }
 
-// applyGram computes y = Cx for the site's window covariance.
-func (s *da1Site) applyGram(d int, x, y []float64) {
-	if s.win != nil {
-		for i := range y {
-			y[i] = 0
-		}
-		for _, r := range s.win.Rows() {
-			c := mat.Dot(r.V, x)
-			if c != 0 {
-				mat.Axpy(c, r.V, y)
-			}
-		}
-		return
-	}
-	s.hist.ApplyGram(x, y)
-}
-
-// gramInto overwrites dst with the site's window covariance.
+// gramInto overwrites dst with the site's window covariance: a copy of the
+// histogram's kept Gram, or, in exact-storage mode, a sum over the raw
+// window rows.
 func (s *da1Site) gramInto(dst *mat.Dense) {
 	if s.win != nil {
 		dst.Zero()
@@ -257,20 +233,20 @@ func (t *DA1) maybeReport(s *da1Site, emit protocol.Emit) {
 		return
 	}
 	s.churn = 0
-	// ‖C − Ĉ‖₂ via warm-started power iteration: C is never formed densely
-	// here, and the dominant direction of D barely moves between tests, so
-	// a few iterations from the cached vector suffice for a threshold
-	// comparison. The estimate lower-bounds the norm, so the test fires at
-	// 0.9× the threshold to compensate; a missed borderline trigger is
-	// retried at the next churn quantum. The operator closure, iteration
-	// scratch, and warm vector are all per-site state: the test allocates
-	// nothing.
-	norm := mat.OpSymNormWarmWS(t.cfg.D, s.pv, 8, s.applyOp, s.ws)
+	// ‖D‖₂ for D = C − Ĉ, formed once into diff, via warm-started power
+	// iteration on the dense d×d D: its dominant direction barely moves
+	// between tests, so a few iterations from the cached vector suffice for
+	// a threshold comparison. The estimate lower-bounds the norm and is
+	// compared against the threshold itself, so a borderline trigger can be
+	// missed; it is retried at the next churn quantum. A report decomposes
+	// the same D. The warm vector and iteration scratch are per-site state:
+	// the test allocates nothing.
+	s.gramInto(s.diff)
+	mat.SubInPlace(s.diff, s.chat)
+	norm := mat.OpSymNormWarmWS(t.cfg.D, s.pv, 8, func(x, y []float64) { mat.MulVecInto(y, s.diff, x) }, s.ws)
 	if norm <= t.cfg.Eps*fhat {
 		return
 	}
-	s.gramInto(s.diff)
-	mat.SubInPlace(s.diff, s.chat)
 	t.sendDirections(s, s.diff, t.cfg.Eps*fhat, emit)
 }
 

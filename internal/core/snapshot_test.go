@@ -11,14 +11,19 @@ import (
 	"distwindow/internal/stream"
 )
 
+// TestDA1SnapshotRoundTrip restores a DA1 tracker mid-stream from a gob
+// round-trip and feeds it and the live tracker the same next 5,000 rows:
+// both must ship the same words and end with a bit-identical Ĉ, which
+// needs each site's kept mEH Gram restored bit for bit.
 func TestDA1SnapshotRoundTrip(t *testing.T) {
 	cfg := Config{D: 4, W: 300, Eps: 0.2, Sites: 2, Seed: 1}
 	net := protocol.NewNetwork(2)
 	da, _ := NewDA1(cfg, net)
-	evs := genEvents(900, 4, 2, 1)
+	evs := genEvents(5600, 4, 2, 1)
 	for _, e := range evs[:600] {
 		da.Observe(e.Site, e.Row)
 	}
+	wordsAtSnapshot := net.Stats().TotalWords()
 	// Round-trip through gob to prove the snapshot is fully serializable.
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(da.Snapshot()); err != nil {
@@ -28,7 +33,8 @@ func TestDA1SnapshotRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&sn); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreDA1(sn, protocol.NewNetwork(2))
+	rnet := protocol.NewNetwork(2)
+	restored, err := RestoreDA1(sn, rnet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +42,12 @@ func TestDA1SnapshotRoundTrip(t *testing.T) {
 		da.Observe(e.Site, e.Row)
 		restored.Observe(e.Site, e.Row)
 	}
-	if !da.Sketch().Equal(restored.Sketch()) {
-		t.Fatal("restored DA1 diverged")
+	live, again := net.Stats().TotalWords()-wordsAtSnapshot, rnet.Stats().TotalWords()
+	if live != again || live == 0 {
+		t.Fatalf("after restore: live tracker shipped %d words, restored %d", live, again)
+	}
+	if !da.SketchGram().Equal(restored.SketchGram()) {
+		t.Fatal("restored DA1 diverged: Ĉ not bit-identical")
 	}
 }
 

@@ -54,20 +54,3 @@ func BenchmarkMergeL32D128(b *testing.B) {
 		s1.Clone().Merge(s2)
 	}
 }
-
-func BenchmarkApplyGramAdd(b *testing.B) {
-	s := New(32, 256)
-	for _, r := range benchRows(512, 256, 4) {
-		s.Update(r)
-	}
-	x := make([]float64, 256)
-	y := make([]float64, 256)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ApplyGramAdd(x, y)
-	}
-}

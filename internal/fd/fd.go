@@ -5,9 +5,10 @@
 //
 // The implementation uses the standard doubled-buffer trick: rows are
 // appended into a 2ℓ×d buffer and a single SVD-shrink step runs every ℓ
-// appends, giving O(dℓ) amortized update time. Each sketch owns one
-// persistent decomposition workspace, so at steady state Update (and the
-// amortized shrinks behind it) performs no heap allocations.
+// appends, giving O(dℓ) amortized update time. Each sketch shrinks in one
+// persistent decomposition workspace, its own or one lent by its owner
+// (UseWorkspace), so at steady state Update (and the amortized shrinks
+// behind it) performs no heap allocations.
 package fd
 
 import (
@@ -27,8 +28,8 @@ type Sketch struct {
 	frobSq float64    // exact ‖A‖_F² of everything fed in
 	shrunk float64    // total spectral mass removed by shrinking (Σ δ)
 	// ws is the persistent shrink workspace, allocated on the first shrink
-	// and reused (dirty) forever after; shrink dimensions never change, so
-	// its buffers stabilize after one use.
+	// (or lent by UseWorkspace) and reused dirty forever after; shrink
+	// dimensions never change, so its buffers stabilize after one use.
 	ws *mat.Workspace
 }
 
@@ -41,6 +42,13 @@ func New(ell, d int) *Sketch {
 	}
 	return &Sketch{ell: ell, d: d, buf: mat.NewDense(2*ell, d)}
 }
+
+// UseWorkspace makes s shrink in ws instead of a workspace of its own.
+// Sketches that share a workspace must all shrink on one goroutine. The
+// mEH lends its one workspace to every bucket sketch this way, so a fresh
+// bucket pays no workspace growth on its first shrink; results are
+// unchanged, because a workspace may be reused dirty.
+func (s *Sketch) UseWorkspace(ws *mat.Workspace) { s.ws = ws }
 
 // L returns the sketch size parameter ℓ.
 func (s *Sketch) L() int { return s.ell }
@@ -145,19 +153,6 @@ func (s *Sketch) AppendRowsTo(dst *mat.Dense, at int) int {
 func (s *Sketch) GramAddTo(dst *mat.Dense, scale float64) {
 	for i := 0; i < s.n; i++ {
 		mat.OuterAdd(dst, s.buf.Row(i), scale)
-	}
-}
-
-// ApplyGramAdd accumulates y += Bᵀ(B·x) over the sketch's current rows
-// without materializing them — the cheap mat-vec the protocols' power
-// iterations are built on.
-func (s *Sketch) ApplyGramAdd(x, y []float64) {
-	for i := 0; i < s.n; i++ {
-		row := s.buf.Row(i)
-		c := mat.Dot(row, x)
-		if c != 0 {
-			mat.Axpy(c, row, y)
-		}
 	}
 }
 

@@ -38,24 +38,6 @@ func BenchmarkAddD512(b *testing.B) {
 	}
 }
 
-func BenchmarkApplyGram(b *testing.B) {
-	rows := benchRows(8192, 128, 3)
-	h := New(1_000_000, 128, 0.1)
-	for i, r := range rows {
-		h.Add(int64(i), r)
-	}
-	x := make([]float64, 128)
-	y := make([]float64, 128)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ApplyGram(x, y)
-	}
-}
-
 func BenchmarkFrobSqEstimate(b *testing.B) {
 	rows := benchRows(8192, 32, 4)
 	h := New(1_000_000, 32, 0.05)

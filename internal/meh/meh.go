@@ -16,10 +16,15 @@
 // wholesale adds at most its mass ≤ (ε/2)‖A_w‖_F² of covariance error,
 // giving O(ε)‖A_w‖_F² total.
 //
+// The histogram also keeps the window Gram Σ_b B_bᵀB_b in step with its
+// buckets, so a caller that needs C = BᵀB (DA1's spectral trigger and
+// report) reads one d×d matrix instead of every stored bucket row.
+//
 // The histogram recycles its transient storage: single-row buffers and FD
-// sketches released by bucket merges and expiries go to small freelists,
-// and the compaction pass double-buffers its bucket slice, so at steady
-// state Add performs no heap allocations.
+// sketches released by bucket merges and expiries go to freelists,
+// the compaction pass double-buffers its bucket slice, and every bucket
+// sketch shrinks in the histogram's one workspace, so at steady state Add
+// performs no heap allocations.
 package meh
 
 import (
@@ -41,12 +46,29 @@ type Histogram struct {
 	buckets []bucket
 	pending int
 
+	// gram is Σ_b B_bᵀB_b over the live buckets. Add adds vvᵀ, an expired
+	// bucket subtracts its Gram, and a merge whose FD sketch shrinks swaps
+	// the parts' Grams for the merged sketch's; a merge that only stacks
+	// rows leaves the sum unchanged. sub is the mass subtracted from gram
+	// since it was last rebuilt from the buckets: once it exceeds twice the
+	// live mass, settle rebuilds gram, so cancellation drift stays bounded
+	// by the live window whatever the stream's history (THEORY.md).
+	gram *mat.Dense
+	sub  float64
+	// ws is the shrink workspace lent to every bucket sketch; all of them
+	// shrink on the histogram's goroutine.
+	ws *mat.Workspace
+
 	// scratch is compact's output double-buffer: compact builds the merged
 	// bucket list here, then swaps it with buckets, so neither slice is
 	// reallocated at steady state.
 	scratch []bucket
 	// freeSk and freeRow recycle bucket sketches and single-row buffers
-	// released by merges and expiries, bounded by maxFree each.
+	// released by merges and expiries. They are not capped: they hold only
+	// buffers that were live together, so live plus free never exceeds the
+	// histogram's peak, and a stream whose bucket count swings (regime
+	// shifts merge and expire buckets in bursts) reuses every buffer
+	// instead of handing some to the GC and allocating them again.
 	freeSk  []*fd.Sketch
 	freeRow [][]float64
 	// slab is the backing store fresh row buffers are carved from when
@@ -80,17 +102,6 @@ type bucket struct {
 // passes, keeping amortized cost constant.
 const compactEvery = 32
 
-// maxFreeRows and maxFreeSketches cap the freelists; beyond them released
-// buffers go to the GC. A compaction pass can release up to one single-row
-// buffer per Add since the previous pass (compactEvery of them) in one
-// burst, which the following Adds then reclaim one by one — so the row cap
-// must cover a full inter-compaction cycle for Add to stay allocation-free.
-// Sketch churn per pass is a handful, so a small cap suffices.
-const (
-	maxFreeRows     = compactEvery + 8
-	maxFreeSketches = 16
-)
-
 // New returns an mEH for d-dimensional rows over a window of w ticks with
 // error parameter eps in (0, 1). Per-bucket FD size is ⌈1/eps⌉ so the
 // summed FD error across buckets is at most eps·‖A_w‖_F².
@@ -104,7 +115,10 @@ func New(w int64, d int, eps float64) *Histogram {
 	if d < 1 {
 		panic("meh: d must be positive")
 	}
-	return &Histogram{w: w, d: d, eps2: eps / 2, ell: int(math.Ceil(1 / eps)), site: -1}
+	return &Histogram{
+		w: w, d: d, eps2: eps / 2, ell: int(math.Ceil(1 / eps)),
+		gram: mat.NewDense(d, d), ws: mat.NewWorkspace(), site: -1,
+	}
 }
 
 // SetSink installs an event sink for bucket lifecycle events, tagging them
@@ -161,7 +175,7 @@ const (
 
 // putRow recycles a released single-row buffer.
 func (h *Histogram) putRow(r []float64) {
-	if r != nil && len(h.freeRow) < maxFreeRows {
+	if r != nil {
 		h.freeRow = append(h.freeRow, r)
 	}
 }
@@ -173,12 +187,14 @@ func (h *Histogram) getSketch() *fd.Sketch {
 		h.freeSk = h.freeSk[:n-1]
 		return sk
 	}
-	return fd.New(h.ell, h.d)
+	sk := fd.New(h.ell, h.d)
+	sk.UseWorkspace(h.ws)
+	return sk
 }
 
 // putSketch recycles a released bucket sketch.
 func (h *Histogram) putSketch(sk *fd.Sketch) {
-	if sk != nil && len(h.freeSk) < maxFreeSketches {
+	if sk != nil {
 		sk.Reset()
 		h.freeSk = append(h.freeSk, sk)
 	}
@@ -193,6 +209,7 @@ func (h *Histogram) Add(t int64, v []float64) {
 		return
 	}
 	h.buckets = append(h.buckets, bucket{row: h.getRow(v), frobSq: w, newest: t, oldest: t})
+	mat.OuterAdd(h.gram, v, 1)
 	h.pending++
 	if h.sink != nil {
 		h.sink.OnEvent(obs.Event{Kind: obs.EvBucketCreated, Site: h.site, T: t})
@@ -221,6 +238,45 @@ func (h *Histogram) sketch(b *bucket) *fd.Sketch {
 // single reports whether the bucket still holds exactly one row.
 func (b *bucket) single() bool { return b.row != nil && b.sk == nil }
 
+// rows returns the number of sketch rows the bucket stores.
+func (b *bucket) rows() int {
+	if b.single() {
+		return 1
+	}
+	return b.sk.NumRows()
+}
+
+// addGram accumulates s·B_bᵀB_b of bucket b into gram.
+func (h *Histogram) addGram(b *bucket, s float64) {
+	if b.single() {
+		mat.OuterAdd(h.gram, b.row, s)
+	} else {
+		b.sk.GramAddTo(h.gram, s)
+	}
+}
+
+// settle rebuilds gram from the buckets once the mass subtracted from it
+// since the last rebuild exceeds twice the live mass. A histogram that
+// has emptied therefore always ends with gram exactly zero.
+func (h *Histogram) settle() {
+	live := 0.0
+	for i := range h.buckets {
+		live += h.buckets[i].frobSq
+	}
+	if h.sub > 2*live {
+		h.rebuildGram()
+	}
+}
+
+// rebuildGram recomputes gram exactly from the live buckets.
+func (h *Histogram) rebuildGram() {
+	h.gram.Zero()
+	for i := range h.buckets {
+		h.addGram(&h.buckets[i], 1)
+	}
+	h.sub = 0
+}
+
 func (h *Histogram) compact() {
 	h.pending = 0
 	n := len(h.buckets)
@@ -233,14 +289,25 @@ func (h *Histogram) compact() {
 	for i := n - 2; i >= 0; i-- {
 		b := h.buckets[i]
 		if cur.frobSq+b.frobSq <= h.eps2*suffix {
-			// Merge older bucket b into cur, recycling b's storage.
+			// Merge older bucket b into cur, recycling b's storage. A
+			// merge past 2ℓ rows shrinks, rewriting the rows, so the
+			// parts' Grams leave gram and the merged sketch's enters it.
 			cs := h.sketch(&cur)
+			shrinks := cs.NumRows()+b.rows() > 2*h.ell
+			if shrinks {
+				h.addGram(&cur, -1)
+				h.addGram(&b, -1)
+				h.sub += cur.frobSq + b.frobSq
+			}
 			if b.single() {
 				cs.Update(b.row)
 				h.putRow(b.row)
 			} else {
 				b.sk.MergeInto(cs)
 				h.putSketch(b.sk)
+			}
+			if shrinks {
+				h.addGram(&cur, 1)
 			}
 			cur.frobSq += b.frobSq
 			cur.oldest = b.oldest
@@ -266,6 +333,7 @@ func (h *Histogram) compact() {
 	// the next append pass.
 	h.scratch = h.buckets[:0]
 	h.buckets = out
+	h.settle()
 }
 
 // Advance expires buckets whose newest row timestamp is ≤ now−w.
@@ -273,9 +341,13 @@ func (h *Histogram) Advance(now int64) {
 	cut := now - h.w
 	i := 0
 	for i < len(h.buckets) && h.buckets[i].newest <= cut {
-		// Recycle the expired bucket's storage.
-		h.putRow(h.buckets[i].row)
-		h.putSketch(h.buckets[i].sk)
+		// Take the expired bucket's Gram out of the sum, then recycle its
+		// storage.
+		b := &h.buckets[i]
+		h.addGram(b, -1)
+		h.sub += b.frobSq
+		h.putRow(b.row)
+		h.putSketch(b.sk)
 		i++
 	}
 	if i > 0 {
@@ -293,6 +365,7 @@ func (h *Histogram) Advance(now int64) {
 			h.sink.OnEvent(obs.Event{Kind: obs.EvBucketExpired, Site: h.site, T: now, N: i})
 		}
 		h.tracer.Instant(trace.OpBucketExpire, h.site, now, int64(i))
+		h.settle()
 	}
 }
 
@@ -343,46 +416,14 @@ func (h *Histogram) SketchRows() *mat.Dense {
 	return out
 }
 
-// ApplyGram computes y = BᵀB·x over the stacked bucket sketches without
-// materializing them; x and y must have length D.
-func (h *Histogram) ApplyGram(x, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		if b.single() {
-			c := mat.Dot(b.row, x)
-			if c != 0 {
-				mat.Axpy(c, b.row, y)
-			}
-		} else {
-			b.sk.ApplyGramAdd(x, y)
-		}
-	}
-}
-
-// Gram returns BᵀB of the stacked sketch — an O(ε)-covariance
-// approximation of A_wᵀA_w — computed fresh on each call.
-func (h *Histogram) Gram() *mat.Dense {
-	g := mat.NewDense(h.d, h.d)
-	h.GramInto(g)
-	return g
-}
+// Gram returns a copy of BᵀB of the stacked sketch — an O(ε)-covariance
+// approximation of A_wᵀA_w.
+func (h *Histogram) Gram() *mat.Dense { return h.gram.Clone() }
 
 // GramInto overwrites dst (which must be D×D) with BᵀB of the stacked
-// sketch, without allocating or copying bucket rows.
-func (h *Histogram) GramInto(dst *mat.Dense) {
-	dst.Zero()
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		if b.single() {
-			mat.OuterAdd(dst, b.row, 1)
-		} else {
-			b.sk.GramAddTo(dst, 1)
-		}
-	}
-}
+// sketch. It copies the Gram the histogram keeps, so it costs O(d²)
+// whatever the number of buckets, and allocates nothing.
+func (h *Histogram) GramInto(dst *mat.Dense) { dst.CopyFrom(h.gram) }
 
 // Buckets returns the number of live buckets.
 func (h *Histogram) Buckets() int { return len(h.buckets) }

@@ -191,10 +191,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestGramIntoAllocFree pins GramInto, which every DA1 report runs, at zero
-// allocations on a histogram holding many FD buckets. A per-bucket
-// allocation shows as at least one allocation per bucket per call, which
-// AllocsPerRun's truncation to an integer cannot hide.
+// TestGramIntoAllocFree pins GramInto, which every DA1 spectral test runs,
+// at zero allocations on a histogram holding many FD buckets.
 func TestGramIntoAllocFree(t *testing.T) {
 	const d = 16
 	h := New(2000, d, 0.1)
@@ -247,24 +245,43 @@ func TestRecycledStorageBitIdentical(t *testing.T) {
 		nan[j] = math.NaN()
 	}
 	dirty := New(w, d, eps)
-	for i := 0; i < maxFreeRows; i++ {
-		dirty.putRow(append([]float64(nil), nan...))
+	seedRows := make([][]float64, 40)
+	for i := range seedRows {
+		seedRows[i] = append([]float64(nil), nan...)
+		dirty.putRow(seedRows[i])
 	}
-	for i := 0; i < maxFreeSketches; i++ {
+	seedSk := make(map[*fd.Sketch]bool)
+	for i := 0; i < 16; i++ {
 		sk := fd.New(dirty.ell, d)
 		for k := 0; k < 2*dirty.ell; k++ {
 			sk.Update(nan)
 		}
+		seedSk[sk] = true
 		dirty.putSketch(sk)
 	}
 	feed(dirty)
-	if len(dirty.freeRow) == maxFreeRows || len(dirty.freeSk) == maxFreeSketches {
-		t.Fatalf("feed drew no recycled storage (rows %d, sketches %d free)", len(dirty.freeRow), len(dirty.freeSk))
+	// A drawn row was overwritten; a drawn sketch may still hold a bucket.
+	drawnRows, drawnSk := 0, 0
+	for _, r := range seedRows {
+		if !math.IsNaN(r[0]) {
+			drawnRows++
+		}
+	}
+	for i := range dirty.buckets {
+		if seedSk[dirty.buckets[i].sk] {
+			drawnSk++
+		}
+	}
+	if drawnRows == 0 || drawnSk == 0 {
+		t.Fatalf("feed drew too little recycled storage (%d rows, %d live sketches)", drawnRows, drawnSk)
 	}
 	plain := New(w, d, eps)
 	feed(plain)
 	if !dirty.SketchRows().Equal(plain.SketchRows()) {
 		t.Fatal("sketch built on recycled storage differs from a fresh histogram's")
+	}
+	if !dirty.gram.Equal(plain.gram) {
+		t.Fatal("Gram kept on recycled storage differs from a fresh histogram's")
 	}
 	if dirty.FrobSqEstimate() != plain.FrobSqEstimate() {
 		t.Fatalf("FrobSqEstimate %v on recycled storage, %v fresh", dirty.FrobSqEstimate(), plain.FrobSqEstimate())
