@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json fuzz fuzz-smoke chaos fleet-smoke experiments examples fmt vet lint clean
+.PHONY: all build test test-short race cover bench bench-json fuzz fuzz-smoke chaos fleet-smoke experiments examples fmt vet lint loc clean
 
 all: build test
 
@@ -99,6 +99,11 @@ lint:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go line count over the tracked files, perfbench included: the
+# LoC figure each change records in CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 clean:
 	rm -f experiments.csv test_output.txt bench_output.txt

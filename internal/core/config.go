@@ -1,10 +1,11 @@
 // Package core implements the paper's distributed sliding-window tracking
 // protocols: the sampling family (PWOR and ESWOR with exact and
 // lazy-broadcast threshold maintenance, with the -ALL estimator variants
-// and with-replacement extensions) and the deterministic family (SUM
-// tracking, DA1 and DA2). Every protocol implements protocol.Tracker and
-// reports its communication to a protocol.Network using the paper's
-// word-count accounting.
+// and with-replacement extensions), the deterministic family (SUM
+// tracking, DA1 and DA2) and Decay, which tracks the exponentially
+// time-decayed covariance with DA1's reporting step. Every protocol
+// implements protocol.Tracker and reports its communication to a
+// protocol.Network using the paper's word-count accounting.
 package core
 
 import (
@@ -61,10 +62,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// validate is the old unexported spelling, kept so the protocol
-// constructors read unchanged.
-func (c Config) validate() error { return c.Validate() }
 
 // ell resolves the sample-set size.
 func (c Config) ell() int {

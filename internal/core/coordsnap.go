@@ -46,12 +46,6 @@ type sketchSnapshot struct {
 func (s sketchSnapshot) Sketch() *mat.Dense       { return s.b.Clone() }
 func (s sketchSnapshot) Gram() (*mat.Dense, bool) { return nil, false }
 
-// SnapshotCoord freezes Ĉ. Safe from the apply-owning goroutine only.
-func (t *DA1) SnapshotCoord() protocol.CoordSnapshot { return FreezeGram(t.chat) }
-
-// SnapshotCoord freezes Ĉ. Safe from the apply-owning goroutine only.
-func (t *DA2) SnapshotCoord() protocol.CoordSnapshot { return FreezeGram(t.chat) }
-
 // SnapshotCoord freezes Ĉ decayed to the tracker's clock — the same value
 // Sketch/SketchGram would observe — without touching the live chat: the
 // decay multiplier is applied to the clone. In parallel mode the facade

@@ -33,17 +33,14 @@ import (
 // All communication is one-way (sites → coordinator), O(md/ε·log NR)
 // words per window. The site never materializes its window: it stores the
 // ledger (O(d/ε·log NR) words), a gEH for ‖A_w⁽ʲ⁾‖_F², and the IWMT
-// buffers.
+// buffers. The coordinator is DA1's (the gramCoord): Ĉ sums the (±)
+// messages.
 type DA2 struct {
+	*gramCoord
 	cfg      Config
-	net      *protocol.Network
 	compress bool
 	sites    []*da2Site
-	chat     *mat.Dense
 	now      int64
-	// applyInline folds an emitted update straight into chat — the
-	// sequential path's emit, allocated once.
-	applyInline protocol.Emit
 }
 
 type da2Site struct {
@@ -84,11 +81,10 @@ func NewDA2C(cfg Config, net *protocol.Network) (*DA2, error) {
 }
 
 func newDA2(cfg Config, net *protocol.Network, compress bool) (*DA2, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &DA2{cfg: cfg, net: net, compress: compress, chat: mat.NewDense(cfg.D, cfg.D)}
-	t.applyInline = func(scale float64, v []float64) { mat.OuterAdd(t.chat, v, scale) }
+	t := &DA2{gramCoord: newGramCoord(cfg, net), cfg: cfg, compress: compress}
 	t.sites = make([]*da2Site, cfg.Sites)
 	for i := range t.sites {
 		s := &da2Site{parent: t, idx: i, mass: eh.New(cfg.W, cfg.Eps/2), boundary: cfg.W}
@@ -149,14 +145,6 @@ func (t *DA2) AdvanceTime(now int64) {
 func (t *DA2) AdvanceSite(site int, now int64, emit protocol.Emit) {
 	t.sites[site].advance(now, emit)
 }
-
-// Apply folds one emitted (±) message into the coordinator's Ĉ. Single
-// goroutine, non-decreasing (T, site) order.
-func (t *DA2) Apply(u protocol.Update) { mat.OuterAdd(t.chat, u.V, u.Scale) }
-
-// AdvanceCoord is a no-op: DA2's coordinator state is clock-free (expiry
-// is driven by the sites' backward tracking).
-func (t *DA2) AdvanceCoord(now int64) {}
 
 // sendA ships a (+) message and records it in the ledger.
 func (t *DA2) sendA(s *da2Site, m iwmt.Msg, emit protocol.Emit) {
@@ -318,12 +306,3 @@ func (s *da2Site) spaceWords(d int) int64 {
 	w += int64(s.mass.Buckets()) * 3
 	return w
 }
-
-// Sketch returns B = Σ^{1/2}Vᵀ of the PSD-clipped Ĉ (Algorithm 5, QUERY).
-func (t *DA2) Sketch() *mat.Dense { return mat.PSDSqrt(t.chat) }
-
-// SketchGram returns a copy of the coordinator's raw Ĉ ≈ A_wᵀA_w.
-func (t *DA2) SketchGram() *mat.Dense { return t.chat.Clone() }
-
-// Stats returns accumulated counters.
-func (t *DA2) Stats() protocol.Stats { return t.net.Stats() }

@@ -161,41 +161,3 @@ func TestSumTrackerNegativeUpdatesOnShrinkingWindow(t *testing.T) {
 		t.Fatalf("estimate %v did not track the shrinking window (was %v)", low, high)
 	}
 }
-
-func TestDA1ExactStorageReference(t *testing.T) {
-	// The exact-storage ablation must (a) be at least as accurate as the
-	// mEH-backed DA1 on average and (b) pay O(window) site space for it.
-	cfg := Config{D: 6, W: 1200, Eps: 0.15, Sites: 3, Seed: 1}
-	evs := genEvents(5000, 6, 3, 211)
-
-	netE := protocol.NewNetwork(3)
-	exact, err := NewDA1Exact(cfg, netE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Name() != "DA1-exact" {
-		t.Fatalf("Name = %q", exact.Name())
-	}
-	avgE, _ := drive(t, exact, evs, cfg.W, 6, 500)
-
-	netH := protocol.NewNetwork(3)
-	hist, _ := NewDA1(cfg, netH)
-	avgH, _ := drive(t, hist, evs, cfg.W, 6, 500)
-
-	if avgE > 2*cfg.Eps {
-		t.Fatalf("exact-storage DA1 err %v > 2ε", avgE)
-	}
-	// The histogram adds its own O(ε); exact mode should not be much worse.
-	if avgE > avgH*1.5+0.02 {
-		t.Fatalf("exact storage (%v) should not lose to mEH mode (%v)", avgE, avgH)
-	}
-	// Exact mode stores the raw window: its site space must scale with the
-	// per-site window share (≈ W/sites rows × (d+1) words). The mEH's
-	// advantage only materializes at windows much larger than its
-	// O(d/ε²·log NR) structures, which this small test does not reach.
-	perSiteRows := int64(1200 / 3)
-	if netE.Stats().MaxSiteWords < perSiteRows*(6+1)*8/10 {
-		t.Fatalf("exact-mode site space %d words too small for ≈%d raw rows",
-			netE.Stats().MaxSiteWords, perSiteRows)
-	}
-}

@@ -14,11 +14,10 @@ import (
 //	C(t) = Σᵢ γ^(t−tᵢ) · aᵢᵀaᵢ
 //
 // over distributed streams — the other prominent time-decay model the
-// paper's introduction cites alongside sliding windows. It extends DA1's
-// reporting template: each site maintains its exact decayed Gram C and the
-// coordinator's replica Ĉ⁽ʲ⁾ and ships significant eigendirections of the
-// difference whenever ‖C − Ĉ⁽ʲ⁾‖₂ > ε·F(t), where F(t) is the decayed
-// Frobenius mass.
+// paper's introduction cites alongside sliding windows. Its sites run
+// DA1's reporting step (the reporter) on their exact decayed Gram C and
+// decayed Frobenius mass F(t): each ships the significant eigendirections
+// of C − Ĉ⁽ʲ⁾ whenever ‖C − Ĉ⁽ʲ⁾‖₂ > ε·F(t).
 //
 // The decisive property making this cheap is that decay is deterministic:
 // both replicas of Ĉ⁽ʲ⁾ shrink by the same γ^Δt without any communication,
@@ -44,22 +43,10 @@ type DecayTracker struct {
 }
 
 type decaySite struct {
-	// idx is the site's index, for per-site communication attribution.
-	idx   int
-	c     *mat.Dense
-	chat  *mat.Dense
-	frob  float64 // decayed Frobenius mass, same clock as c
-	t     int64   // timestamp c/chat/frob are decayed to
-	churn float64 // new mass since the last spectral test
-	// pv is the warm-start vector for the spectral trigger test; mv is the
-	// Ĉ·x scratch; diff holds C − Ĉ during a report; ws is the site's
-	// persistent decomposition/power-iteration workspace. All preallocated
-	// so the amortized test allocates nothing.
-	pv      []float64
-	mv      []float64
-	applyOp func(x, y []float64)
-	diff    *mat.Dense
-	ws      *mat.Workspace
+	reporter
+	c    *mat.Dense
+	frob float64 // decayed Frobenius mass, same clock as c
+	t    int64   // timestamp c/chat/frob are decayed to
 }
 
 var _ protocol.OneWay = (*DecayTracker)(nil)
@@ -67,7 +54,7 @@ var _ protocol.OneWay = (*DecayTracker)(nil)
 // NewDecay builds a decayed-covariance tracker; gamma is the per-tick
 // decay factor (e.g. 0.999 ≈ half-life of 693 ticks). Cfg.W is ignored.
 func NewDecay(cfg Config, gamma float64, net *protocol.Network) (*DecayTracker, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if gamma <= 0 || gamma >= 1 {
@@ -80,23 +67,7 @@ func NewDecay(cfg Config, gamma float64, net *protocol.Network) (*DecayTracker, 
 	}
 	t.sites = make([]*decaySite, cfg.Sites)
 	for i := range t.sites {
-		s := &decaySite{
-			idx:  i,
-			c:    mat.NewDense(cfg.D, cfg.D),
-			chat: mat.NewDense(cfg.D, cfg.D),
-			pv:   make([]float64, cfg.D),
-			mv:   make([]float64, cfg.D),
-			diff: mat.NewDense(cfg.D, cfg.D),
-			ws:   mat.NewWorkspace(),
-		}
-		s.applyOp = func(x, y []float64) {
-			mat.MulVecInto(y, s.c, x)
-			mat.MulVecInto(s.mv, s.chat, x)
-			for j := range y {
-				y[j] -= s.mv[j]
-			}
-		}
-		t.sites[i] = s
+		t.sites[i] = &decaySite{reporter: newReporter(cfg, net, i), c: mat.NewDense(cfg.D, cfg.D)}
 	}
 	return t, nil
 }
@@ -124,7 +95,7 @@ func (t *DecayTracker) ObserveSite(site int, r stream.Row, emit protocol.Emit) {
 		s.frob += w
 		s.churn += w
 	}
-	t.maybeReport(s, r.T, emit)
+	s.report(s.frob, s.gramInto, emit)
 	t.net.SampleSiteSpace(int64(2 * t.cfg.D * t.cfg.D))
 	t.net.SampleCoordSpace(int64(t.cfg.D * t.cfg.D))
 }
@@ -176,51 +147,8 @@ func (s *decaySite) decayTo(now int64, gamma float64) {
 	s.t = now
 }
 
-func (t *DecayTracker) maybeReport(s *decaySite, now int64, emit protocol.Emit) {
-	if s.frob <= 0 {
-		return
-	}
-	if s.churn < t.cfg.Eps/4*s.frob {
-		return
-	}
-	s.churn = 0
-	norm := mat.OpSymNormWarmWS(t.cfg.D, s.pv, 8, s.applyOp, s.ws)
-	if norm <= t.cfg.Eps*s.frob {
-		return
-	}
-	s.diff.CopyFrom(s.c)
-	mat.SubInPlace(s.diff, s.chat)
-	eig := mat.EigSymInto(s.diff, s.ws)
-	cutoff := t.cfg.Eps * s.frob
-	sent := 0
-	send := func(i int) {
-		lam := eig.Values[i]
-		// Copy the direction out of the site workspace: the parallel
-		// pipeline retains emitted slices until the coordinator applies
-		// them, by which time the workspace may have been reused.
-		v := append([]float64(nil), eig.Vectors.Row(i)...)
-		t.net.UpFrom(s.idx, protocol.DirectionWords(t.cfg.D))
-		mat.OuterAdd(s.chat, v, lam)
-		emit(lam, v)
-		sent++
-	}
-	for i, lam := range eig.Values {
-		if lam != 0 && math.Abs(lam) >= cutoff {
-			send(i)
-		}
-	}
-	if sent == 0 {
-		best, bl := -1, 0.0
-		for i, lam := range eig.Values {
-			if a := math.Abs(lam); a > bl {
-				best, bl = i, a
-			}
-		}
-		if best >= 0 && bl > 0 {
-			send(best)
-		}
-	}
-}
+// gramInto copies the site's decayed Gram into dst.
+func (s *decaySite) gramInto(dst *mat.Dense) { dst.CopyFrom(s.c) }
 
 // decayChatTo brings the coordinator's Ĉ to the given timestamp.
 func (t *DecayTracker) decayChatTo(now int64) {

@@ -58,18 +58,14 @@ func (t *SumTracker) LiveBuckets() int {
 	return n
 }
 
-// SetSink forwards bucket lifecycle events from every site's mEH. The
-// exact-storage ablation has no histograms, so it emits nothing.
+// SetSink forwards bucket lifecycle events from every site's mEH.
 func (t *DA1) SetSink(s obs.Sink) {
 	for i, st := range t.sites {
-		if st.hist != nil {
-			st.hist.SetSink(s, i)
-		}
+		st.hist.SetSink(s, i)
 	}
 }
 
-// SetTracer forwards a causal tracer to every site's mEH (exact-storage
-// ablation sites have none).
+// SetTracer forwards a causal tracer to every site's mEH.
 func (t *DA1) SetTracer(tr *trace.Tracer) {
 	for i := range t.sites {
 		t.SetSiteTracer(i, tr, i)
@@ -79,21 +75,14 @@ func (t *DA1) SetTracer(tr *trace.Tracer) {
 // SetSiteTracer forwards a causal tracer to one site's mEH, stamping its
 // bucket instants with label (see SumTracker.SetSiteTracer).
 func (t *DA1) SetSiteTracer(site int, tr *trace.Tracer, label int) {
-	if h := t.sites[site].hist; h != nil {
-		h.SetTracer(tr, label)
-	}
+	t.sites[site].hist.SetTracer(tr, label)
 }
 
-// LiveBuckets returns the total mEH bucket count across sites. In
-// exact-storage mode each retained row counts as one bucket.
+// LiveBuckets returns the total mEH bucket count across sites.
 func (t *DA1) LiveBuckets() int {
 	n := 0
 	for _, st := range t.sites {
-		if st.hist != nil {
-			n += st.hist.Buckets()
-		} else if st.win != nil {
-			n += st.win.Len()
-		}
+		n += st.hist.Buckets()
 	}
 	return n
 }

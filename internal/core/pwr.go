@@ -41,7 +41,7 @@ func NewESWR(cfg Config, net *protocol.Network) (*WithReplacement, error) {
 }
 
 func newWR(cfg Config, net *protocol.Network, scheme sampling.Scheme, name string) (*WithReplacement, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	k := cfg.ell()

@@ -65,7 +65,7 @@ type sampleSite struct {
 // NewSampler builds a sampling tracker. The name reflects the variant
 // (e.g. "PWOR-ALL", "ESWOR", "PWOR-simple").
 func NewSampler(cfg Config, opts SamplerOpts, net *protocol.Network) (*Sampler, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Scheme == nil {

@@ -186,12 +186,12 @@ func TestConfigValidate(t *testing.T) {
 		{D: 1, W: 1, Eps: 0.1, Sites: 1, Ell: -1},
 	}
 	for i, c := range bad {
-		if err := c.validate(); err == nil {
+		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: want validation error", i)
 		}
 	}
 	good := Config{D: 1, W: 1, Eps: 0.1, Sites: 1}
-	if err := good.validate(); err != nil {
+	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }

@@ -42,7 +42,7 @@ type sumSite struct {
 // net. Weights are supplied per observation (use ‖row‖² for Frobenius
 // tracking, 1 for COUNT).
 func NewSumTracker(cfg Config, net *protocol.Network) (*SumTracker, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	t := &SumTracker{cfg: cfg, net: net}

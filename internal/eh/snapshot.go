@@ -1,6 +1,9 @@
 package eh
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BucketSnapshot is one serialized bucket.
 type BucketSnapshot struct {
@@ -28,14 +31,14 @@ func (h *Histogram) Snapshot() Snapshot {
 
 // Restore rebuilds a histogram from a snapshot.
 func Restore(sn Snapshot) (*Histogram, error) {
-	if sn.W <= 0 || sn.Eps2 <= 0 || sn.Eps2 >= 0.5 {
+	if sn.W <= 0 || !(sn.Eps2 > 0 && sn.Eps2 < 0.5) {
 		return nil, fmt.Errorf("eh: invalid snapshot w=%d eps2=%v", sn.W, sn.Eps2)
 	}
 	h := &Histogram{w: sn.W, eps2: sn.Eps2, pending: sn.Pending, version: sn.Version}
 	h.buckets = make([]bucket, len(sn.Buckets))
 	prev := int64(-1 << 62)
 	for i, b := range sn.Buckets {
-		if b.Sum <= 0 || b.Oldest > b.Newest || b.Newest < prev {
+		if !(b.Sum > 0) || math.IsInf(b.Sum, 0) || b.Oldest > b.Newest || b.Newest < prev {
 			return nil, fmt.Errorf("eh: invalid snapshot bucket %d", i)
 		}
 		prev = b.Newest

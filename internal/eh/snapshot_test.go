@@ -1,6 +1,7 @@
 package eh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,6 +37,9 @@ func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
 		{W: 10, Eps2: 0.1, Buckets: []BucketSnapshot{{Sum: -1, Newest: 1, Oldest: 1}}},
 		{W: 10, Eps2: 0.1, Buckets: []BucketSnapshot{{Sum: 1, Newest: 1, Oldest: 5}}},                                 // oldest > newest
 		{W: 10, Eps2: 0.1, Buckets: []BucketSnapshot{{Sum: 1, Newest: 9, Oldest: 9}, {Sum: 1, Newest: 2, Oldest: 2}}}, // disorder
+		{W: 10, Eps2: 0.1, Buckets: []BucketSnapshot{{Sum: math.NaN(), Newest: 1, Oldest: 1}}},                        // NaN sum
+		{W: 10, Eps2: 0.1, Buckets: []BucketSnapshot{{Sum: math.Inf(1), Newest: 1, Oldest: 1}}},                       // infinite sum
+		{W: 10, Eps2: math.NaN()},
 	}
 	for i, c := range cases {
 		if _, err := Restore(c); err == nil {

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -37,6 +38,13 @@ func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
 		{Ell: 3, D: 0},
 		{Ell: 3, D: 4, N: 99},
 		{Ell: 3, D: 4, N: 1, Buf: []float64{1}}, // wrong buffer length
+		{Ell: 3, D: 4, N: 1, Buf: []float64{1, math.NaN(), 0, 0}, FrobSq: 1},   // NaN row
+		{Ell: 3, D: 4, N: 1, Buf: []float64{1, 0, math.Inf(-1), 0}, FrobSq: 1}, // infinite row
+		{Ell: 3, D: 4, FrobSq: math.NaN()},
+		{Ell: 3, D: 4, FrobSq: math.Inf(1)},
+		{Ell: 3, D: 4, FrobSq: -1},
+		{Ell: 3, D: 4, Shrunk: math.Inf(1)},
+		{Ell: 3, D: 4, Shrunk: math.NaN()},
 	}
 	for i, c := range cases {
 		if _, err := Restore(c); err == nil {

@@ -18,10 +18,14 @@ func gramDrift(h *Histogram) (drift, live float64) {
 }
 
 // checkGram fails unless the kept Gram is within 1e-12 × the live mass of
-// the fresh sum, and exactly zero once the histogram has emptied. It
-// returns the drift relative to the live mass (0 when empty).
+// the fresh sum, and exactly zero once the histogram has emptied, and
+// unless SpaceWords equals a fresh count over the stored rows. It returns
+// the drift relative to the live mass (0 when empty).
 func checkGram(t testing.TB, h *Histogram, step int) float64 {
 	t.Helper()
+	if got, want := h.SpaceWords(), h.SketchRows().Rows()*h.d+4*len(h.buckets); got != want {
+		t.Fatalf("step %d: SpaceWords = %d, a fresh count gives %d", step, got, want)
+	}
 	if len(h.buckets) == 0 {
 		for i, x := range h.gram.Data() {
 			if x != 0 {

@@ -45,6 +45,9 @@ type Histogram struct {
 	ell     int     // FD sketch size per bucket
 	buckets []bucket
 	pending int
+	// rows is the number of sketch rows the live buckets store, kept in
+	// step on add, merge and expiry so SpaceWords costs O(1).
+	rows int
 
 	// gram is Σ_b B_bᵀB_b over the live buckets. Add adds vvᵀ, an expired
 	// bucket subtracts its Gram, and a merge whose FD sketch shrinks swaps
@@ -209,6 +212,7 @@ func (h *Histogram) Add(t int64, v []float64) {
 		return
 	}
 	h.buckets = append(h.buckets, bucket{row: h.getRow(v), frobSq: w, newest: t, oldest: t})
+	h.rows++
 	mat.OuterAdd(h.gram, v, 1)
 	h.pending++
 	if h.sink != nil {
@@ -293,7 +297,8 @@ func (h *Histogram) compact() {
 			// merge past 2ℓ rows shrinks, rewriting the rows, so the
 			// parts' Grams leave gram and the merged sketch's enters it.
 			cs := h.sketch(&cur)
-			shrinks := cs.NumRows()+b.rows() > 2*h.ell
+			stacked := cs.NumRows() + b.rows()
+			shrinks := stacked > 2*h.ell
 			if shrinks {
 				h.addGram(&cur, -1)
 				h.addGram(&b, -1)
@@ -309,6 +314,7 @@ func (h *Histogram) compact() {
 			if shrinks {
 				h.addGram(&cur, 1)
 			}
+			h.rows += cs.NumRows() - stacked
 			cur.frobSq += b.frobSq
 			cur.oldest = b.oldest
 			continue
@@ -346,6 +352,7 @@ func (h *Histogram) Advance(now int64) {
 		b := &h.buckets[i]
 		h.addGram(b, -1)
 		h.sub += b.frobSq
+		h.rows -= b.rows()
 		h.putRow(b.row)
 		h.putSketch(b.sk)
 		i++
@@ -429,37 +436,6 @@ func (h *Histogram) GramInto(dst *mat.Dense) { dst.CopyFrom(h.gram) }
 func (h *Histogram) Buckets() int { return len(h.buckets) }
 
 // SpaceWords estimates the structure's space usage in words: sketch rows
-// plus per-bucket bookkeeping. It allocates nothing — protocols charge it
-// per ingested row.
-func (h *Histogram) SpaceWords() int {
-	words := 0
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		if b.single() {
-			words += h.d + 4
-		} else {
-			words += b.sk.NumRows()*h.d + 4
-		}
-	}
-	return words
-}
-
-// RowsInReverse feeds every sketch row to fn in reverse time order (newest
-// bucket first), tagging each row with its bucket's oldest timestamp. DA2
-// uses this to replay a closed window backwards through an IWMT instance
-// when the site does not retain raw rows. The v slice aliases internal
-// storage and is only valid for the duration of the call; fn must copy
-// anything it retains.
-func (h *Histogram) RowsInReverse(fn func(t int64, v []float64)) {
-	for i := len(h.buckets) - 1; i >= 0; i-- {
-		b := &h.buckets[i]
-		if b.single() {
-			fn(b.oldest, b.row)
-			continue
-		}
-		rows := b.sk.RowsView()
-		for r := 0; r < rows.Rows(); r++ {
-			fn(b.oldest, rows.Row(r))
-		}
-	}
-}
+// plus per-bucket bookkeeping. It costs O(1) and allocates nothing —
+// protocols charge it per ingested row.
+func (h *Histogram) SpaceWords() int { return h.rows*h.d + 4*len(h.buckets) }

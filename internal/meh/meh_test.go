@@ -144,23 +144,6 @@ func TestSpaceSublinear(t *testing.T) {
 	}
 }
 
-func TestRowsInReverseOrder(t *testing.T) {
-	h := New(1000, 2, 0.5)
-	h.Add(1, []float64{1, 0})
-	h.Add(2, []float64{0, 1})
-	h.Add(3, []float64{1, 1})
-	var ts []int64
-	h.RowsInReverse(func(tt int64, v []float64) { ts = append(ts, tt) })
-	if len(ts) == 0 {
-		t.Fatal("no rows replayed")
-	}
-	for i := 1; i < len(ts); i++ {
-		if ts[i] > ts[i-1] {
-			t.Fatalf("timestamps not non-increasing: %v", ts)
-		}
-	}
-}
-
 func TestGramMatchesSketchRows(t *testing.T) {
 	h := New(1000, 3, 0.2)
 	rng := rand.New(rand.NewSource(4))

@@ -2,6 +2,7 @@ package meh
 
 import (
 	"fmt"
+	"math"
 
 	"distwindow/internal/fd"
 	"distwindow/mat"
@@ -54,24 +55,38 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 }
 
-// Restore rebuilds a histogram from a snapshot.
+// Restore rebuilds a histogram from a snapshot. It refuses state that
+// breaks the histogram's invariants: buckets in time order, each holding
+// positive finite mass in exactly one of a row or a sketch of the
+// histogram's ℓ and d, and a finite kept Gram.
 func Restore(sn Snapshot) (*Histogram, error) {
-	if sn.W <= 0 || sn.D < 1 || sn.Ell < 1 || sn.Eps2 <= 0 {
-		return nil, fmt.Errorf("meh: invalid snapshot w=%d d=%d ℓ=%d", sn.W, sn.D, sn.Ell)
+	if sn.W <= 0 || sn.D < 1 || sn.Ell < 1 || !(sn.Eps2 > 0 && sn.Eps2 < 0.5) || sn.Pending < 0 {
+		return nil, fmt.Errorf("meh: invalid snapshot w=%d d=%d ℓ=%d eps2=%v pending=%d", sn.W, sn.D, sn.Ell, sn.Eps2, sn.Pending)
 	}
 	if sn.Gram != nil && len(sn.Gram) != sn.D*sn.D {
 		return nil, fmt.Errorf("meh: snapshot Gram length %d, want %d", len(sn.Gram), sn.D*sn.D)
+	}
+	if !mat.AllFinite(sn.Gram...) || !mat.AllFinite(sn.GramSub) || sn.GramSub < 0 {
+		return nil, fmt.Errorf("meh: snapshot Gram not finite, or GramSub %v not finite and ≥ 0", sn.GramSub)
 	}
 	h := &Histogram{
 		w: sn.W, d: sn.D, eps2: sn.Eps2, ell: sn.Ell, pending: sn.Pending,
 		gram: mat.NewDense(sn.D, sn.D), ws: mat.NewWorkspace(),
 	}
 	h.buckets = make([]bucket, len(sn.Buckets))
+	prev := int64(math.MinInt64)
 	for i, b := range sn.Buckets {
+		if !(b.FrobSq > 0) || math.IsInf(b.FrobSq, 0) || b.Oldest > b.Newest || b.Newest < prev {
+			return nil, fmt.Errorf("meh: invalid snapshot bucket %d", i)
+		}
+		prev = b.Newest
+		if b.Row != nil && b.Sketch != nil {
+			return nil, fmt.Errorf("meh: snapshot bucket %d holds both a row and a sketch", i)
+		}
 		nb := bucket{frobSq: b.FrobSq, newest: b.Newest, oldest: b.Oldest}
 		if b.Row != nil {
-			if len(b.Row) != sn.D {
-				return nil, fmt.Errorf("meh: snapshot bucket %d row length %d", i, len(b.Row))
+			if len(b.Row) != sn.D || !mat.AllFinite(b.Row...) {
+				return nil, fmt.Errorf("meh: snapshot bucket %d row is not %d finite values", i, sn.D)
 			}
 			nb.row = append([]float64(nil), b.Row...)
 		}
@@ -80,8 +95,8 @@ func Restore(sn Snapshot) (*Histogram, error) {
 			if err != nil {
 				return nil, fmt.Errorf("meh: snapshot bucket %d: %w", i, err)
 			}
-			if sk.D() != sn.D {
-				return nil, fmt.Errorf("meh: snapshot bucket %d sketch d=%d, want %d", i, sk.D(), sn.D)
+			if sk.D() != sn.D || sk.L() != sn.Ell {
+				return nil, fmt.Errorf("meh: snapshot bucket %d sketch ℓ=%d d=%d, want ℓ=%d d=%d", i, sk.L(), sk.D(), sn.Ell, sn.D)
 			}
 			sk.UseWorkspace(h.ws)
 			nb.sk = sk
@@ -90,6 +105,7 @@ func Restore(sn Snapshot) (*Histogram, error) {
 			return nil, fmt.Errorf("meh: snapshot bucket %d empty", i)
 		}
 		h.buckets[i] = nb
+		h.rows += nb.rows()
 	}
 	if sn.Gram == nil {
 		h.rebuildGram()

@@ -1,6 +1,7 @@
 package meh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -65,14 +66,31 @@ func TestSnapshotWithoutGramRebuilds(t *testing.T) {
 }
 
 func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {
+	row := []float64{1, 0, 0}
 	cases := []Snapshot{
 		{W: 0, D: 3, Eps2: 0.1, Ell: 5},
 		{W: 10, D: 0, Eps2: 0.1, Ell: 5},
 		{W: 10, D: 3, Eps2: 0.1, Ell: 0},
-		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{FrobSq: 1}}},                                     // empty bucket
-		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: []float64{1}, FrobSq: 1}}},                  // wrong row len
-		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Gram: make([]float64, 8)},                                                   // wrong Gram len
-		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Sketch: &fd.Snapshot{Ell: 5, D: 2}, FrobSq: 1}}}, // sketch d ≠ D
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{FrobSq: 1}}},                                               // empty bucket
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: []float64{1}, FrobSq: 1}}},                            // wrong row len
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Gram: make([]float64, 8)},                                                             // wrong Gram len
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Sketch: &fd.Snapshot{Ell: 5, D: 2}, FrobSq: 1}}},           // sketch d ≠ D
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: row, Sketch: &fd.Snapshot{Ell: 5, D: 3}, FrobSq: 1}}}, // row and sketch
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Sketch: &fd.Snapshot{Ell: 2, D: 3}, FrobSq: 1}}},           // sketch ℓ < Ell
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: row, FrobSq: math.NaN()}}},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: row, FrobSq: 0}}},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: row, FrobSq: -1}}},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: row, FrobSq: 1, Newest: 1, Oldest: 5}}}, // oldest > newest
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{
+			{Row: row, FrobSq: 1, Newest: 9, Oldest: 9}, {Row: row, FrobSq: 1, Newest: 2, Oldest: 2}}}, // newest decreasing
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Buckets: []BucketSnapshot{{Row: []float64{1, math.NaN(), 0}, FrobSq: 1}}}, // NaN row
+		{W: 10, D: 3, Eps2: math.NaN(), Ell: 5},
+		{W: 10, D: 3, Eps2: 0.5, Ell: 5},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Pending: -1},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Gram: []float64{0, 0, 0, 0, math.Inf(1), 0, 0, 0, 0}},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, Gram: []float64{math.NaN(), 0, 0, 0, 0, 0, 0, 0, 0}},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, GramSub: math.NaN()},
+		{W: 10, D: 3, Eps2: 0.1, Ell: 5, GramSub: math.Inf(1)},
 	}
 	for i, c := range cases {
 		if _, err := Restore(c); err == nil {

@@ -1,7 +1,6 @@
 // Package window maintains the exact contents of a time-based sliding
 // window over a row stream. It is the ground truth against which every
-// protocol's sketch is evaluated, and the storage backend for protocol
-// variants that keep all active rows.
+// protocol's sketch is evaluated; no protocol keeps its raw window.
 package window
 
 import (

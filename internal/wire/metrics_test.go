@@ -110,7 +110,13 @@ func TestMetricsEndpointsWhileStreaming(t *testing.T) {
 			t.Fatalf("site %d: %v", si, err)
 		}
 	}
-	// Let the coordinator drain in-flight frames before the final read.
+	// Every sender has closed, so its count is final; closing does not
+	// wait for the coordinator, so let it drain the in-flight frames
+	// before the final read.
+	var sent int64
+	for _, s := range senders {
+		sent += s.Metrics().Msgs
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	var fin CoordinatorMetrics
 	for {
@@ -118,7 +124,7 @@ func TestMetricsEndpointsWhileStreaming(t *testing.T) {
 		if err := json.Unmarshal(body, &fin); err != nil {
 			t.Fatal(err)
 		}
-		if fin.Msgs > mid.Msgs || time.Now().After(deadline) {
+		if fin.Msgs >= sent || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -139,10 +145,8 @@ func TestMetricsEndpointsWhileStreaming(t *testing.T) {
 		t.Fatalf("sink saw %d EvMsgReceived, coordinator counted %d", got, fin.Msgs)
 	}
 
-	var sent int64
 	for _, s := range senders {
 		sm := s.Metrics()
-		sent += sm.Msgs
 		if sm.Msgs > 0 && sm.EncodeLatency.Count != sm.Msgs {
 			t.Fatalf("sender timed %d encodes for %d msgs", sm.EncodeLatency.Count, sm.Msgs)
 		}
