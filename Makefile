@@ -49,7 +49,10 @@ fuzz:
 # binary v2 wire decoder must never panic, never loop, and only ever fail
 # with a frame-local CorruptFrameError or an EOF-shaped transport error.
 # The symmetric eigensolver must return on any input, NaN and ±Inf
-# included, and decompose every finite one of moderate norm. The mEH's
+# included, and decompose every finite one of moderate norm; its
+# values-first path (EigSymValuesInto) must return the same eigenvalues
+# bit for bit on every finite input, and the vectors it forms on request
+# must reconstruct the input and be orthonormal within 1e-10. The mEH's
 # kept window Gram must stay within 1e-12 × the live mass of a fresh sum
 # over its buckets after every Add and Advance, and be exactly zero once
 # the histogram empties. The CI fuzz job runs exactly these targets.

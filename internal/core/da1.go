@@ -78,7 +78,7 @@ func (t *DA1) ObserveSite(site int, r stream.Row, emit protocol.Emit) {
 	}
 	s.churn += added + expired
 	s.lastF = est
-	s.report(est, s.hist.GramInto, emit)
+	s.report(est, s.hist.GramView(), emit)
 	t.net.SampleSiteSpace(int64(t.cfg.D*t.cfg.D) + int64(s.hist.SpaceWords()))
 	t.net.SampleCoordSpace(int64(t.cfg.D * t.cfg.D))
 }
@@ -108,5 +108,5 @@ func (t *DA1) AdvanceSite(site int, now int64, emit protocol.Emit) {
 		s.churn += d
 	}
 	s.lastF = est
-	s.report(est, s.hist.GramInto, emit)
+	s.report(est, s.hist.GramView(), emit)
 }

@@ -95,7 +95,7 @@ func (t *DecayTracker) ObserveSite(site int, r stream.Row, emit protocol.Emit) {
 		s.frob += w
 		s.churn += w
 	}
-	s.report(s.frob, s.gramInto, emit)
+	s.report(s.frob, s.c, emit)
 	t.net.SampleSiteSpace(int64(2 * t.cfg.D * t.cfg.D))
 	t.net.SampleCoordSpace(int64(t.cfg.D * t.cfg.D))
 }
@@ -146,9 +146,6 @@ func (s *decaySite) decayTo(now int64, gamma float64) {
 	s.churn *= f
 	s.t = now
 }
-
-// gramInto copies the site's decayed Gram into dst.
-func (s *decaySite) gramInto(dst *mat.Dense) { dst.CopyFrom(s.c) }
 
 // decayChatTo brings the coordinator's Ĉ to the given timestamp.
 func (t *DecayTracker) decayChatTo(now int64) {

@@ -21,8 +21,10 @@ import (
 // to churn, and the site re-tests only once churn reaches (ε/4)·F̂² —
 // smaller churn cannot move ‖D‖₂ past the threshold by more than a constant
 // factor of ε, so the guarantee degrades only in constants. A test forms D
-// once and power-iterates on the dense d×d D in O(iters·d²); a report
-// decomposes the same D.
+// in one pass and power-iterates on the dense d×d D in O(iters·d²). A
+// report decomposes the same D values first (mat.EigSymValuesInto) and
+// forms only the eigenvectors it ships: it ships a few of d directions,
+// and a full decomposition would form the rest only to discard them.
 type reporter struct {
 	net *protocol.Network
 	// idx is the site's index, for per-site communication attribution.
@@ -34,8 +36,10 @@ type reporter struct {
 	churn float64
 	// pv is the warm-start vector for the spectral test; diff holds D from
 	// a test to its report; ws is the site's persistent
-	// decomposition/power-iteration workspace. All are preallocated, so a
-	// test allocates nothing and a report only the directions it ships.
+	// decomposition/power-iteration workspace, which also holds a report's
+	// reflectors and QL rotations until its last direction is formed. All
+	// are preallocated or sized on first use, so a test allocates nothing
+	// and a report only the directions it ships.
 	pv   []float64
 	diff *mat.Dense
 	ws   *mat.Workspace
@@ -53,9 +57,9 @@ func newReporter(cfg Config, net *protocol.Network, idx int) reporter {
 	}
 }
 
-// report runs the reporting step for a site of mass f whose window
-// covariance C gramInto writes into its argument.
-func (r *reporter) report(f float64, gramInto func(dst *mat.Dense), emit protocol.Emit) {
+// report runs the reporting step for a site of mass f and window
+// covariance c, which it only reads.
+func (r *reporter) report(f float64, c *mat.Dense, emit protocol.Emit) {
 	if f <= 0 {
 		// Window (locally) empty: flush any leftover Ĉ⁽ʲ⁾ exactly once.
 		if mat.FrobSq(r.chat) > 0 {
@@ -75,8 +79,7 @@ func (r *reporter) report(f float64, gramInto func(dst *mat.Dense), emit protoco
 	// suffice for a threshold comparison. The estimate lower-bounds the
 	// norm and is compared against the threshold itself, so a borderline
 	// trigger can be missed; it is retried at the next churn quantum.
-	gramInto(r.diff)
-	mat.SubInPlace(r.diff, r.chat)
+	mat.SubInto(r.diff, c, r.chat)
 	norm := mat.OpSymNormWarmWS(r.chat.Rows(), r.pv, 8, func(x, y []float64) { mat.MulVecInto(y, r.diff, x) }, r.ws)
 	if norm <= r.eps*f {
 		return
@@ -84,18 +87,20 @@ func (r *reporter) report(f float64, gramInto func(dst *mat.Dense), emit protoco
 	r.ship(r.eps*f, emit)
 }
 
-// ship eigendecomposes D and ships every direction with |λ| ≥ cutoff
-// (cutoff 0 ships all nonzero), updating both Ĉ⁽ʲ⁾ replicas. When the
-// trigger fired but no eigenvalue clears the cutoff (the power iteration
-// slightly over-estimated), the top direction is shipped anyway so the
-// protocol always makes progress.
+// ship ships every eigendirection of D with |λ| ≥ cutoff (cutoff 0 ships
+// all nonzero), updating both Ĉ⁽ʲ⁾ replicas. When the trigger fired but no
+// eigenvalue clears the cutoff (the power iteration slightly
+// over-estimated), the top direction is shipped anyway so the protocol
+// always makes progress. The eigenvalues, and so every choice made here,
+// are bit for bit those of a full decomposition of D; only the shipped
+// directions are formed.
 func (r *reporter) ship(cutoff float64, emit protocol.Emit) {
-	eig := mat.EigSymInto(r.diff, r.ws)
+	eig := mat.EigSymValuesInto(r.diff, r.ws)
 	send := func(i int) {
-		// Copy the direction out of the site workspace: the parallel
-		// pipeline retains emitted slices until the coordinator applies
-		// them, by which time the workspace may have been reused.
-		v := append([]float64(nil), eig.Vectors.Row(i)...)
+		// Form the direction in a slice of its own: the parallel pipeline
+		// retains emitted slices until the coordinator applies them.
+		v := make([]float64, len(eig.Values))
+		eig.VectorInto(v, i)
 		r.net.UpFrom(r.idx, protocol.DirectionWords(len(v)))
 		mat.OuterAdd(r.chat, v, eig.Values[i])
 		emit(eig.Values[i], v)

@@ -125,12 +125,6 @@ func (s *Sketch) Rows() *mat.Dense {
 	return out
 }
 
-// RowsView returns the current sketch matrix as a view sharing the
-// sketch's buffer — no copy. The view is invalidated (and its contents
-// rewritten) by the next Update/Merge/Reset; callers must not retain it
-// across mutations or mutate it themselves.
-func (s *Sketch) RowsView() *mat.Dense { return s.buf.SliceRows(0, s.n) }
-
 // NumRows returns the number of live sketch rows without copying them.
 func (s *Sketch) NumRows() int { return s.n }
 
@@ -164,8 +158,9 @@ func (s *Sketch) Compact() *mat.Dense {
 }
 
 // CompactView forces a shrink and returns the sketch rows as a view
-// sharing the sketch's buffer — no copy. The same aliasing rules as
-// RowsView apply.
+// sharing the sketch's buffer — no copy. The view is invalidated (and its
+// contents rewritten) by the next Update, Merge or Reset; callers must not
+// retain it across mutations or mutate it themselves.
 func (s *Sketch) CompactView() *mat.Dense {
 	s.shrink()
 	return s.buf.SliceRows(0, s.n)

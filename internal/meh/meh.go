@@ -427,10 +427,10 @@ func (h *Histogram) SketchRows() *mat.Dense {
 // approximation of A_wᵀA_w.
 func (h *Histogram) Gram() *mat.Dense { return h.gram.Clone() }
 
-// GramInto overwrites dst (which must be D×D) with BᵀB of the stacked
-// sketch. It copies the Gram the histogram keeps, so it costs O(d²)
-// whatever the number of buckets, and allocates nothing.
-func (h *Histogram) GramInto(dst *mat.Dense) { dst.CopyFrom(h.gram) }
+// GramView returns the Gram the histogram keeps, BᵀB of the stacked
+// sketch, without copying it. The result aliases the histogram: callers
+// only read it, and it changes in place with the next Add or Advance.
+func (h *Histogram) GramView() *mat.Dense { return h.gram }
 
 // Buckets returns the number of live buckets.
 func (h *Histogram) Buckets() int { return len(h.buckets) }

@@ -174,34 +174,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestGramIntoAllocFree pins GramInto, which every DA1 spectral test runs,
-// at zero allocations on a histogram holding many FD buckets.
-func TestGramIntoAllocFree(t *testing.T) {
-	const d = 16
-	h := New(2000, d, 0.1)
-	rng := rand.New(rand.NewSource(7))
-	for i := int64(1); i <= 6000; i++ {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		h.Add(i, v)
-	}
-	fdBuckets := 0
-	for i := range h.buckets {
-		if !h.buckets[i].single() {
-			fdBuckets++
-		}
-	}
-	if fdBuckets < 4 {
-		t.Fatalf("only %d FD buckets; the test needs several", fdBuckets)
-	}
-	dst := mat.NewDense(d, d)
-	if n := testing.AllocsPerRun(50, func() { h.GramInto(dst) }); n != 0 {
-		t.Fatalf("GramInto: %v allocs per call over %d FD buckets, want 0", n, fdBuckets)
-	}
-}
-
 // TestRecycledStorageBitIdentical pins the private freelists' reuse
 // contract: a recycled row or sketch is fully overwritten before it is
 // read, so a histogram that draws dirty recycled storage builds exactly

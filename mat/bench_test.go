@@ -80,8 +80,8 @@ func BenchmarkPSDSqrt64(b *testing.B) {
 }
 
 // BenchmarkEigSymInto32 decomposes a 32×32 symmetric matrix on a warm
-// workspace: the shape of DA1's report and of every query factorization
-// at the benchmark's d = 32.
+// workspace: the shape of every query factorization at the benchmark's
+// d = 32.
 func BenchmarkEigSymInto32(b *testing.B) {
 	s := Gram(benchMat(64, 32, 10))
 	ws := NewWorkspace()
@@ -90,6 +90,23 @@ func BenchmarkEigSymInto32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EigSymInto(s, ws)
+	}
+}
+
+// BenchmarkEigSymValues32 is a DA1 or Decay report's decomposition at
+// d = 32 on the matrix BenchmarkEigSymInto32 decomposes: every eigenvalue,
+// then the two vectors a report typically ships.
+func BenchmarkEigSymValues32(b *testing.B) {
+	s := Gram(benchMat(64, 32, 10))
+	ws := NewWorkspace()
+	v := make([]float64, 32)
+	EigSymValuesInto(s, ws)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := EigSymValuesInto(s, ws)
+		e.VectorInto(v, 0)
+		e.VectorInto(v, 1)
 	}
 }
 

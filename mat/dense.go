@@ -2,8 +2,8 @@
 // distributed sliding-window matrix-tracking protocols: a row-major dense
 // matrix type, BLAS-like operations, Householder QR, a symmetric
 // eigendecomposition (Householder tridiagonalization plus implicit-shift
-// QL), thin SVD, spectral norms via power iteration, and PSD matrix square
-// roots.
+// QL, in full or values first with eigenvectors formed on request), thin
+// SVD, spectral norms via power iteration, and PSD matrix square roots.
 //
 // The package is self-contained (standard library only) and deterministic:
 // nothing in it draws randomness except functions that take an explicit

@@ -22,7 +22,11 @@ const qlItersPerValue = 30
 // Householder reduction to tridiagonal form followed by the implicit-shift
 // QL algorithm (EISPACK's tred2/tql2; Golub & Van Loan, Matrix
 // Computations, §8.3). Asymmetric input is treated as its symmetrized
-// part. The cost is about 9n³ flops.
+// part. The cost is about 9n³ flops: about 4/3·n³ for the reduction, as
+// much again to accumulate its reflectors into the eigenvector matrix, and
+// 6n for each of the K ≈ n² QL rotations applied to it; the scalar QL
+// sweeps themselves cost O(K). EigSymValuesInto shares the reduction and
+// the sweeps and forms only the eigenvectors asked for.
 //
 // The solver is backward stable: the computed factors are an exact
 // eigendecomposition of S + E with ‖E‖ = O(u·‖S‖), u the unit roundoff, so
@@ -41,13 +45,16 @@ func EigSym(s *Dense) Eigen {
 	return EigSymInto(s, NewWorkspace())
 }
 
-// tridiagonalize overwrites the symmetric n×n matrix w (n ≥ 1) with the
-// transpose Qᵀ of the orthogonal Q that reduces it to tridiagonal form
-// T = QᵀSQ, and returns T's diagonal in d and its subdiagonal in e[1:]
-// (e[0] = 0). It is tred2 with every index pair swapped, which leaves the
-// symmetric input unchanged and puts the Householder updates and their
-// accumulation on contiguous rows of w instead of strided columns.
-func tridiagonalize(w *Dense, d, e []float64) {
+// householderReduce reduces the symmetric n×n matrix w (n ≥ 1) to
+// tridiagonal form T = QᵀSQ by Householder reflectors (tred2's reduction
+// loop). It returns T's subdiagonal in e[1:] (e[0] = 0) and leaves T's
+// diagonal on w's diagonal, reflector k (k ≥ 1) in the first k entries of
+// row k of w, and its scale h_k in d[k]: Q = P_{n−1}⋯P_1 with
+// P_k = I − u_k·u_kᵀ/h_k, the identity where h_k = 0. It is tred2 with
+// every index pair swapped, which leaves the symmetric input unchanged and
+// puts the Householder updates on contiguous rows of w instead of strided
+// columns.
+func householderReduce(w *Dense, d, e []float64) {
 	n := w.rows
 	a := w.data
 	for j := 0; j < n; j++ {
@@ -92,7 +99,7 @@ func tridiagonalize(w *Dense, d, e []float64) {
 		}
 		for j := 0; j < i; j++ {
 			f = v[j]
-			a[i*n+j] = f // keep the reflector in row i for accumulation
+			a[i*n+j] = f // keep the reflector in row i
 			row := a[j*n+j+1 : j*n+i]
 			vr, pr := v[j+1:i], p[j+1:i]
 			vr, pr = vr[:len(row)], pr[:len(row)] // lets the compiler drop bounds checks
@@ -127,8 +134,15 @@ func tridiagonalize(w *Dense, d, e []float64) {
 		}
 		d[i] = h
 	}
+	e[0] = 0
+}
 
-	// Accumulate the reflectors into Qᵀ, one leading block at a time.
+// accumulateReflectors finishes householderReduce for the full solve: it
+// overwrites w with the transpose Qᵀ of the reducing transformation, one
+// leading block at a time, and moves T's diagonal into d.
+func accumulateReflectors(w *Dense, d []float64) {
+	n := w.rows
+	a := w.data
 	for i := 0; i < n-1; i++ {
 		a[i*n+n-1] = a[i*n+i]
 		a[i*n+i] = 1
@@ -155,17 +169,29 @@ func tridiagonalize(w *Dense, d, e []float64) {
 		a[j*n+n-1] = 0
 	}
 	a[n*n-1] = 1
-	e[0] = 0
+}
+
+// keepReflectors finishes householderReduce for the values-first solve:
+// it swaps T's diagonal on w's diagonal with the reflector scales in d, so
+// that d holds T's diagonal, bit for bit what accumulateReflectors leaves
+// there, and w keeps every reflector for LazyEigen.VectorInto.
+func keepReflectors(w *Dense, d []float64) {
+	n := w.rows
+	a := w.data
+	for j := 0; j < n; j++ {
+		d[j], a[j*n+j] = a[j*n+j], d[j]
+	}
 }
 
 // tridiagonalQL diagonalizes the symmetric tridiagonal matrix with
 // diagonal d and subdiagonal e[1:] by implicit-shift QL sweeps (tql2),
-// leaving the eigenvalues in d, unsorted. Each plane rotation is applied
-// to two adjacent rows of the transposed accumulator w, so on return row
-// i of w is the eigenvector for d[i]. e is destroyed.
-func tridiagonalQL(w *Dense, d, e []float64) {
-	n := w.rows
-	a := w.data
+// leaving the eigenvalues in d, unsorted. e is destroyed. Each plane
+// rotation either goes to two adjacent rows of the transposed accumulator
+// acc, so that on return row i of acc is the eigenvector for d[i], or,
+// when acc is nil, is recorded in log for LazyEigen.VectorInto to replay.
+// The scalar recurrence is the same either way, so are the eigenvalues.
+func tridiagonalQL(d, e []float64, acc *Dense, log *qlLog) {
+	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -194,6 +220,7 @@ func tridiagonalQL(w *Dense, d, e []float64) {
 		for m < n-1 && math.Abs(e[m]) > tol {
 			m++
 		}
+		start := iters
 		for m > l && iters < maxIters {
 			iters++
 			// Wilkinson-style shift from the leading 2×2 block.
@@ -229,7 +256,12 @@ func tridiagonalQL(w *Dense, d, e []float64) {
 				c = p / r
 				p = c*d[i] - s*g
 				d[i+1] = h + s*(c*g+s*d[i])
-				rotateRows(a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n], c, s)
+				if acc != nil {
+					a := acc.data
+					rotateRows(a[i*n:(i+1)*n], a[(i+1)*n:(i+2)*n], c, s)
+				} else {
+					log.rot = append(log.rot, c, s)
+				}
 			}
 			p = -s * s2 * c3 * el1 * e[l] / dl1
 			e[l] = s * p
@@ -238,8 +270,90 @@ func tridiagonalQL(w *Dense, d, e []float64) {
 				break
 			}
 		}
+		if log != nil {
+			log.runs[l] = qlRun{m: m, sweeps: iters - start}
+		}
 		d[l] += f
 		e[l] = 0
+	}
+}
+
+// qlLog is the record tridiagonalQL keeps in place of an accumulator: the
+// (c, s) pair of every plane rotation in the order applied, and for each
+// l the block [l, m] its sweeps ran on and how many there were. Every
+// sweep for l rotates rows m−1 down to l, so the pairs alone, read back
+// in reverse, replay the whole product.
+type qlLog struct {
+	rot  []float64
+	runs []qlRun
+}
+
+type qlRun struct{ m, sweeps int }
+
+// reset empties the log for an n×n solve. The first solve at n sizes it
+// for 1.5·n² rotations: the QL runs about two sweeps per eigenvalue over
+// shrinking blocks, n² to 1.3·n² rotations on DA1 and Decay reports and on
+// random input at n ≥ 16. A run that needs more grows the log, which then
+// keeps the larger capacity.
+func (l *qlLog) reset(n int) {
+	if want := 3 * n * n; cap(l.rot) < want {
+		l.rot = make([]float64, 0, want)
+	}
+	l.rot = l.rot[:0]
+	if cap(l.runs) < n {
+		l.runs = make([]qlRun, n)
+	}
+	l.runs = l.runs[:n]
+}
+
+// LazyEigen is the values-first eigendecomposition of a symmetric matrix
+// that EigSymValuesInto returns: the eigenvalues, and each eigenvector
+// formed only when VectorInto asks for it. It aliases the workspace that
+// produced it and is valid until the next Into call on that workspace.
+type LazyEigen struct {
+	// Values are the eigenvalues in decreasing order, bit for bit those
+	// EigSymInto returns for the same input.
+	Values []float64
+	ws     *Workspace
+}
+
+// VectorInto writes the unit eigenvector for Values[i] into dst, which
+// must have one entry per eigenvalue. It replays the logged QL rotations
+// backwards on the unit vector e_k, k the eigenvalue's place before the
+// sort, and then applies the stored Householder reflectors: the
+// orthogonal product EigSymInto accumulates for every vector at once,
+// grouped to serve one, at O(K + n²) flops for K logged rotations. The
+// result agrees with EigSymInto's row i to O(n·u), u the unit roundoff.
+func (e LazyEigen) VectorInto(dst []float64, i int) {
+	n := len(e.Values)
+	if len(dst) != n {
+		panic("mat: LazyEigen.VectorInto length mismatch")
+	}
+	ws := e.ws
+	clear(dst)
+	dst[ws.idx[i]] = 1
+	rot, pos := ws.ql.rot, len(ws.ql.rot)
+	for l := n - 1; l >= 0; l-- {
+		run := ws.ql.runs[l]
+		for range run.sweeps {
+			// The sweep rotated rows m−1 down to l; replay it from l up.
+			for k := l; k < run.m; k++ {
+				pos -= 2
+				c, s := rot[pos], rot[pos+1]
+				xk, xk1 := dst[k], dst[k+1]
+				dst[k] = c*xk + s*xk1
+				dst[k+1] = c*xk1 - s*xk
+			}
+		}
+	}
+	// dst ← P_{n−1}⋯P_1·dst, P_1 first: the reflectors in the order
+	// accumulateReflectors multiplies them into Qᵀ.
+	a := ws.eigA.data
+	for k := 1; k < n; k++ {
+		if h := a[k*n+k]; h != 0 {
+			u, x := a[k*n:k*n+k], dst[:k]
+			Axpy(-Dot(u, x)/h, u, x)
+		}
 	}
 }
 

@@ -291,11 +291,15 @@ func decodeSym(b []byte) *Dense {
 	return a
 }
 
-// FuzzEigSym feeds arbitrary symmetric matrices to EigSym. Every input,
-// NaN and ±Inf included, must return without a panic or a hang (the QL
-// iteration is bounded). Finite input with ‖A‖_F in [1e-100, 1e100] must
-// decompose: reconstruction within 1e-10·‖A‖_F, orthonormality within
-// 1e-10, values in decreasing order.
+// FuzzEigSym feeds arbitrary symmetric matrices to EigSym and to the
+// values-first EigSymValuesInto. Every input, NaN and ±Inf included, must
+// return from both, and form a vector, without a panic or a hang (the QL
+// iteration is bounded). On finite input the values-first eigenvalues
+// must equal EigSym's bit for bit. Finite input with ‖A‖_F in
+// [1e-100, 1e100] must decompose both ways: reconstruction within
+// 1e-10·‖A‖_F, orthonormality within 1e-10 (so every vector has unit norm
+// and distinct vectors are orthogonal within 1e-10), values in decreasing
+// order.
 func FuzzEigSym(f *testing.F) {
 	rng := rand.New(rand.NewSource(47))
 	for _, n := range []int{1, 2, 5} {
@@ -312,14 +316,87 @@ func FuzzEigSym(f *testing.F) {
 			return
 		}
 		e := EigSym(a)
+		lazy := EigSymValuesInto(a, NewWorkspace())
+		lazy.VectorInto(make([]float64, a.rows), 0)
 		for _, x := range a.data {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return
+			}
+		}
+		for i, x := range lazy.Values {
+			if math.Float64bits(x) != math.Float64bits(e.Values[i]) {
+				t.Fatalf("values-first eigenvalue %d: %v != EigSym's %v", i, x, e.Values[i])
 			}
 		}
 		if frob, _, _ := eigErrors(a, e); !(frob >= 1e-100 && frob <= 1e100) {
 			return
 		}
 		checkEig(t, "fuzz", a, e, 1e-10)
+		checkEig(t, "fuzz values-first", a, lazyVectors(lazy), 1e-10)
 	})
+}
+
+// lazyVectors forms every vector of e on request, as the Eigen that
+// EigSymInto would return.
+func lazyVectors(e LazyEigen) Eigen {
+	n := len(e.Values)
+	vecs := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		e.VectorInto(vecs.Row(i), i)
+	}
+	return Eigen{Values: e.Values, Vectors: vecs}
+}
+
+// TestEigSymValuesInto checks the values-first solver against EigSym on
+// n = 1, 2 and 32, a diagonal matrix (every reflector skipped), repeated
+// eigenvalues (I plus rank 1, off the diagonal) and a mixed-sign Gram
+// difference like a DA1 report's D. The eigenvalues must equal EigSym's
+// bit for bit. The vectors formed on request must decompose the input as
+// tightly as TestEigSymMatchesJacobiOracle asks of EigSym, and each must
+// lie within 1e-12 of EigSym's: it is the same orthogonal product with
+// its factors grouped differently. One workspace, reused dirty across the
+// sizes and by full solves in between, must give bit for bit what a fresh
+// one gives.
+func TestEigSymValuesInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	diagonal := NewDense(32, 32)
+	for i := 0; i < 32; i++ {
+		diagonal.Set(i, i, rng.NormFloat64())
+	}
+	v := randMat(1, 32, rng)
+	repeated := Gram(v)
+	for i := 0; i < 32; i++ {
+		repeated.data[i*32+i]++
+	}
+	cases := []eigCase{
+		{"random n=32", randSym(32, rng)},
+		{"n=1", randSym(1, rng)},
+		{"diagonal", diagonal},
+		{"n=2", randSym(2, rng)},
+		{"identity plus rank-1", repeated},
+		{"gram difference", Sub(Gram(randMat(40, 32, rng)), Gram(randMat(40, 32, rng)))},
+	}
+	const tol = 1e-12
+	dirty := NewWorkspace()
+	for k, c := range cases {
+		EigSymInto(cases[(k+1)%len(cases)].a, dirty)
+		want := EigSym(c.a)
+		fresh := lazyVectors(EigSymValuesInto(c.a, NewWorkspace()))
+		got := lazyVectors(EigSymValuesInto(c.a, dirty))
+		for i, x := range fresh.Values {
+			if math.Float64bits(x) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("%s: eigenvalue %d: %v != EigSym's %v", c.name, i, x, want.Values[i])
+			}
+		}
+		floatsEqual(t, c.name+": dirty-workspace values", got.Values, fresh.Values)
+		denseEqual(t, c.name+": dirty-workspace vectors", got.Vectors, fresh.Vectors)
+		checkEig(t, c.name, c.a, fresh, tol)
+		for i := range fresh.Values {
+			diff := append([]float64(nil), fresh.Vectors.Row(i)...)
+			Axpy(-1, want.Vectors.Row(i), diff)
+			if d := VecNorm(diff); !(d <= tol) {
+				t.Fatalf("%s: vector %d is %.3g from EigSym's, want ≤ %.0e", c.name, i, d, tol)
+			}
+		}
+	}
 }

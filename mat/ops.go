@@ -14,12 +14,19 @@ func Add(a, b *Dense) *Dense {
 
 // Sub returns a - b as a new matrix. Dimensions must match.
 func Sub(a, b *Dense) *Dense {
-	checkSame(a, b, "Sub")
 	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v - b.data[i]
-	}
+	SubInto(out, a, b)
 	return out
+}
+
+// SubInto sets dst = a - b without allocating. All three must have the
+// same dimensions; dst may alias a or b.
+func SubInto(dst, a, b *Dense) {
+	checkSame(a, b, "SubInto")
+	checkSame(dst, a, "SubInto")
+	for i, v := range a.data {
+		dst.data[i] = v - b.data[i]
+	}
 }
 
 // AddInPlace sets a += b. Dimensions must match.
@@ -27,14 +34,6 @@ func AddInPlace(a, b *Dense) {
 	checkSame(a, b, "AddInPlace")
 	for i, v := range b.data {
 		a.data[i] += v
-	}
-}
-
-// SubInPlace sets a -= b. Dimensions must match.
-func SubInPlace(a, b *Dense) {
-	checkSame(a, b, "SubInPlace")
-	for i, v := range b.data {
-		a.data[i] -= v
 	}
 }
 

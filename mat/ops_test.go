@@ -34,9 +34,9 @@ func TestAddSubInPlace(t *testing.T) {
 	if a.At(0, 1) != 6 {
 		t.Fatalf("AddInPlace wrong: %v", a)
 	}
-	SubInPlace(a, b)
+	SubInto(a, a, b)
 	if a.At(0, 1) != 2 {
-		t.Fatalf("SubInPlace wrong: %v", a)
+		t.Fatalf("SubInto in place wrong: %v", a)
 	}
 }
 

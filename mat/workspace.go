@@ -3,32 +3,41 @@ package mat
 import "math"
 
 // Workspace holds reusable scratch buffers for the decomposition entry
-// points (EigSymInto, ThinSVDInto, ThinSVDNoU) and the warm-started power
-// iteration (OpSymNormWarmWS). A Workspace may be reused dirty — every
-// Into call fully initializes the buffers it reads — and grows its buffers
-// monotonically, so a caller that decomposes fixed-size matrices (an FD
-// sketch shrinking its 2ℓ×d buffer, a protocol site eigendecomposing d×d
-// differences) reaches a steady state with zero allocations per call.
+// points (EigSymInto, EigSymValuesInto, ThinSVDInto, ThinSVDNoU) and the
+// warm-started power iteration (OpSymNormWarmWS). A Workspace may be
+// reused dirty — every Into call fully initializes the buffers it reads —
+// and grows its buffers monotonically, so a caller that decomposes
+// fixed-size matrices (an FD sketch shrinking its 2ℓ×d buffer, a protocol
+// site eigendecomposing d×d differences) reaches a steady state with zero
+// allocations per call. The workspace owns the QL rotation log of
+// EigSymValuesInto, sized once per dimension (1.5·n² rotations, 24 KB at
+// n = 32).
 //
 // Ownership rules:
 //
-//   - The Eigen/SVD values returned by the Into functions alias the
-//     workspace; they are valid only until the next Into call on the same
-//     workspace. Callers that need the factors longer must copy them.
+//   - The Eigen/LazyEigen/SVD values returned by the Into functions alias
+//     the workspace; they are valid only until the next Into call on the
+//     same workspace. Callers that need the factors longer must copy them;
+//     a LazyEigen's vectors must be formed before that call.
 //   - A Workspace is not safe for concurrent use. Give each goroutine (in
 //     the parallel pipeline: each site, since one site's work is
 //     serialized on one lane) its own Workspace.
 //   - The zero value is ready to use; NewWorkspace exists for symmetry.
 type Workspace struct {
-	// Symmetric eigendecomposition scratch (EigSymInto). eigA starts as
-	// the scaled, symmetrized input and ends as the transposed rotation
-	// accumulator, whose rows are the eigenvectors.
+	// Symmetric eigendecomposition scratch (EigSymInto,
+	// EigSymValuesInto). eigA starts as the scaled, symmetrized input. For
+	// EigSymInto it ends as the transposed rotation accumulator, whose
+	// rows are the eigenvectors; for EigSymValuesInto it keeps the
+	// Householder reflectors below its diagonal and their scales on it,
+	// and ql keeps the QL rotations, which LazyEigen.VectorInto replays.
 	eigA Dense
 	eigD []float64 // tridiagonal diagonal, then the unsorted eigenvalues
 	eigE []float64 // tridiagonal subdiagonal
 	idx  []int     // eigenvalue sort permutation
+	ql   qlLog
 
-	// Eigendecomposition outputs, aliased by the returned Eigen.
+	// Eigendecomposition outputs, aliased by the returned Eigen (vals also
+	// by LazyEigen).
 	vals []float64
 	vecs Dense
 
@@ -73,6 +82,50 @@ func growInts(s []int, n int) []int {
 // function run on a fresh workspace, and every buffer read is fully
 // initialized first, so prior contents cannot leak into the output.
 func EigSymInto(s *Dense, ws *Workspace) Eigen {
+	exp := ws.eigReduce(s)
+	n, a := s.rows, &ws.eigA
+	if n > 0 {
+		accumulateReflectors(a, ws.eigD)
+		tridiagonalQL(ws.eigD, ws.eigE, a, nil)
+	}
+	vals := ws.eigSort(exp)
+	ws.vecs.reshape(n, n)
+	for r, i := range ws.idx {
+		copy(ws.vecs.Row(r), a.Row(i))
+	}
+	return Eigen{Values: vals, Vectors: &ws.vecs}
+}
+
+// EigSymValuesInto is the values-first EigSymInto: it returns the
+// eigenvalues of the symmetric s, bit for bit those EigSymInto returns,
+// and forms an eigenvector only when LazyEigen.VectorInto asks for it. It
+// skips the two stages that exist only to build vectors — accumulating
+// the Householder reflectors into Qᵀ (about 4/3·n³ flops) and applying
+// each QL rotation to every row of Qᵀ (6·n flops per rotation) — and
+// keeps the reflectors and a log of the rotations in ws instead. What
+// remains is the reduction (about 4/3·n³), the scalar QL sweeps, and
+// O(K + n²) per vector asked for, K ≈ n² the number of rotations, against
+// about 9·n³ for the full solve. A caller that needs a few of n vectors
+// should use it.
+//
+// The values, and the reflectors and rotation log VectorInto replays,
+// live in ws: the values may be read, and vectors formed, only until the
+// next Into call on ws. At steady state it performs no allocations.
+func EigSymValuesInto(s *Dense, ws *Workspace) LazyEigen {
+	exp := ws.eigReduce(s)
+	if n := s.rows; n > 0 {
+		keepReflectors(&ws.eigA, ws.eigD)
+		ws.ql.reset(n)
+		tridiagonalQL(ws.eigD, ws.eigE, nil, &ws.ql)
+	}
+	return LazyEigen{Values: ws.eigSort(exp), ws: ws}
+}
+
+// eigReduce is the front both symmetric solvers share: it writes the
+// scaled, symmetrized s into ws.eigA and reduces it to tridiagonal form
+// (householderReduce), returning the power of two the eigenvalues must be
+// scaled back by.
+func (ws *Workspace) eigReduce(s *Dense) (exp int) {
 	if s.rows != s.cols {
 		panic("mat: EigSym of non-square matrix")
 	}
@@ -82,15 +135,16 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 	// Symmetrize to guard against drift in accumulated covariance updates,
 	// and divide by a power of two, exactly, so that the largest entry is
 	// near 1: the QL sweeps then form their rotations without under- or
-	// overflow guards. The eigenvalues are scaled back below. The exponent
-	// is clamped so that 2^±exp stay finite for subnormal and huge input.
+	// overflow guards. The eigenvalues are scaled back by eigSort. The
+	// exponent is clamped so that 2^±exp stay finite for subnormal and
+	// huge input.
 	var mx float64
 	for _, x := range s.data {
 		if ax := math.Abs(x); ax > mx {
 			mx = ax
 		}
 	}
-	_, exp := math.Frexp(mx)
+	_, exp = math.Frexp(mx)
 	exp = min(max(exp, -1021), 1021)
 	inv := math.Ldexp(1, -exp)
 	for i := 0; i < n; i++ {
@@ -103,15 +157,17 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 	}
 	ws.eigD = growFloats(ws.eigD, n)
 	ws.eigE = growFloats(ws.eigE, n)
-	d := ws.eigD
 	if n > 0 {
-		tridiagonalize(a, d, ws.eigE)
-		tridiagonalQL(a, d, ws.eigE)
+		householderReduce(a, ws.eigD, ws.eigE)
 	}
+	return exp
+}
 
-	ws.vals = growFloats(ws.vals, n)
-	ws.vecs.reshape(n, n)
-	eig := Eigen{Values: ws.vals, Vectors: &ws.vecs}
+// eigSort orders the eigenvalues in ws.eigD by decreasing value into
+// ws.idx and returns them, scaled back by 2^exp, in ws.vals.
+func (ws *Workspace) eigSort(exp int) []float64 {
+	d := ws.eigD
+	n := len(d)
 	ws.idx = growInts(ws.idx, n)
 	idx := ws.idx
 	for i := range idx {
@@ -129,12 +185,12 @@ func EigSymInto(s *Dense, ws *Workspace) Eigen {
 		}
 		idx[j+1] = k
 	}
+	ws.vals = growFloats(ws.vals, n)
 	scale := math.Ldexp(1, exp)
 	for r, i := range idx {
-		eig.Values[r] = d[i] * scale
-		copy(eig.Vectors.Row(r), a.Row(i))
+		ws.vals[r] = d[i] * scale
 	}
-	return eig
+	return ws.vals
 }
 
 // ThinSVDInto computes the thin SVD of a like ThinSVD, but decomposes into

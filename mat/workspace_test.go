@@ -145,6 +145,13 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 	OpSymNormWarmWS(12, v, 4, apply, ws)
 	EigSymInto(sym32, ws)
 	ThinSVDNoU(shrink, ws)
+	dst := make([]float64, 32)
+	lazy32 := func() {
+		e := EigSymValuesInto(sym32, ws)
+		e.VectorInto(dst, 0)
+		e.VectorInto(dst, 31)
+	}
+	lazy32()
 
 	cases := []struct {
 		name string
@@ -156,6 +163,7 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 		{"OpSymNormWarmWS", func() { OpSymNormWarmWS(12, v, 4, apply, ws) }},
 		{"EigSymInto n=32", func() { EigSymInto(sym32, ws) }},
 		{"ThinSVDNoU 40x32", func() { ThinSVDNoU(shrink, ws) }},
+		{"EigSymValuesInto n=32, two vectors", lazy32},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.fn); n != 0 {
