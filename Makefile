@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSketchGuarantee -fuzztime=30s ./internal/fd/
 	$(GO) test -fuzz=FuzzSkewBufferOrdering -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
+	$(GO) test -fuzz=FuzzKernels -fuzztime=30s ./mat/
 	$(GO) test -fuzz=FuzzHistogramGram -fuzztime=30s ./internal/meh/
 
 # Short fuzz sessions over untrusted-input and numerical kernels. The
@@ -52,14 +53,18 @@ fuzz:
 # included, and decompose every finite one of moderate norm; its
 # values-first path (EigSymValuesInto) must return the same eigenvalues
 # bit for bit on every finite input, and the vectors it forms on request
-# must reconstruct the input and be orthonormal within 1e-10. The mEH's
-# kept window Gram must stay within 1e-12 × the live mass of a fresh sum
-# over its buckets after every Add and Advance, and be exactly zero once
-# the histogram empties. The CI fuzz job runs exactly these targets.
+# must reconstruct the input and be orthonormal within 1e-10; the full
+# solve must return the same bits with mat's AVX2 kernels off. Each AVX2
+# kernel must return its Go loop's bits on any lengths, offsets and
+# special values (FuzzKernels). The mEH's kept window Gram must stay
+# within 1e-12 × the live mass of a fresh sum over its buckets after
+# every Add and Advance, and be exactly zero once the histogram empties.
+# The CI fuzz job runs exactly these targets.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeMsg -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzDecodeAck -fuzztime=30s ./internal/wire/codec/
 	$(GO) test -fuzz=FuzzEigSym -fuzztime=30s ./mat/
+	$(GO) test -fuzz=FuzzKernels -fuzztime=30s ./mat/
 	$(GO) test -fuzz=FuzzHistogramGram -fuzztime=30s ./internal/meh/
 
 # Seeded chaos soak under the race detector: replays the same workload
@@ -95,10 +100,12 @@ examples:
 fmt:
 	gofmt -w .
 
-# CI's lint gate: formatting and vet, no writes.
+# CI's lint gate: formatting and vet, no writes. The arm64 vet keeps the
+# portable path, which every GOARCH but amd64 runs, compiling.
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...

@@ -38,6 +38,10 @@ type Histogram struct {
 	buckets []bucket // oldest first
 	pending int      // inserts since last compaction
 	version uint64   // bumped on every structural change
+	// scratch is compact's output double-buffer: compact builds the merged
+	// bucket list here, then swaps it with buckets, so neither slice is
+	// reallocated at steady state.
+	scratch []bucket
 
 	// sink receives bucket lifecycle events (created/merged/expired); nil
 	// — the default — costs one branch per structural change. site tags
@@ -120,7 +124,7 @@ func (h *Histogram) compact() {
 	if n < 2 {
 		return
 	}
-	out := make([]bucket, 0, n)
+	out := h.scratch[:0]
 	// Walk newest → oldest accumulating into out (newest first).
 	suffix := 0.0 // mass strictly newer than cur
 	cur := h.buckets[n-1]
@@ -147,6 +151,7 @@ func (h *Histogram) compact() {
 		}
 		h.tracer.Instant(trace.OpBucketMerge, h.site, 0, int64(merged))
 	}
+	h.scratch = h.buckets[:0]
 	h.buckets = out
 }
 
@@ -158,7 +163,10 @@ func (h *Histogram) Advance(now int64) {
 		i++
 	}
 	if i > 0 {
-		h.buckets = h.buckets[i:]
+		// Copy the survivors down so the slice keeps its backing array:
+		// re-slicing forward would shed capacity, and Insert would
+		// reallocate.
+		h.buckets = h.buckets[:copy(h.buckets, h.buckets[i:])]
 		h.version++
 		if h.sink != nil {
 			h.sink.OnEvent(obs.Event{Kind: obs.EvBucketExpired, Site: h.site, T: now, N: i})

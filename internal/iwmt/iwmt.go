@@ -45,6 +45,9 @@ type Tracker struct {
 	// emittedGram tracks Σ mᵀm of everything emitted (off by default; DA2's
 	// compressed variant enables it to drain residues at window ends).
 	emitted int
+	// kept is emit's scratch list of the compacted rows it keeps, reused
+	// across compactions.
+	kept []int
 }
 
 // New returns a tracker for d-dimensional rows. ell is the FD sketch size
@@ -88,18 +91,18 @@ func (tr *Tracker) emit(t int64, theta float64) []Msg {
 	rows := tr.sk.CompactView()
 	tr.rawSince = 0
 	var out []Msg
-	var kept []int
+	tr.kept = tr.kept[:0]
 	for i := 0; i < rows.Rows(); i++ {
 		if mat.VecNormSq(rows.Row(i)) >= theta {
 			out = append(out, Msg{T: t, V: append([]float64(nil), rows.Row(i)...)})
 			tr.emitted++
 		} else {
-			kept = append(kept, i)
+			tr.kept = append(tr.kept, i)
 		}
 	}
 	if len(out) > 0 {
 		tr.sk.Reset()
-		for _, i := range kept {
+		for _, i := range tr.kept {
 			tr.sk.Update(rows.Row(i))
 		}
 	}

@@ -205,3 +205,32 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestQuietCompactionAllocs pins a compaction that emits nothing at the
+// FD sketch's two row-slice view headers (the partial shrink's and
+// CompactView's): the list of kept rows lives in the tracker. Each run
+// resets the tracker and feeds five orthogonal rows of squared norms
+// 0.25 to 6.25, so the fifth triggers one compaction that keeps four
+// rows, none with the threshold's mass.
+func TestQuietCompactionAllocs(t *testing.T) {
+	const d, theta = 8, 20.0
+	tr := New(4, d, func() float64 { return theta })
+	rows := make([][]float64, 5)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		rows[i][i] = float64(i+1) / 2
+	}
+	var emitted int
+	run := func() {
+		tr.Reset()
+		for i, v := range rows {
+			emitted += len(tr.Input(int64(i+1), v))
+		}
+	}
+	if n := testing.AllocsPerRun(1, run); n > 2 {
+		t.Errorf("a compaction that emits nothing made %v allocations, want ≤ 2", n)
+	}
+	if emitted != 0 {
+		t.Fatalf("%d rows emitted; the test needs a compaction that emits nothing", emitted)
+	}
+}

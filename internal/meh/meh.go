@@ -423,10 +423,6 @@ func (h *Histogram) SketchRows() *mat.Dense {
 	return out
 }
 
-// Gram returns a copy of BᵀB of the stacked sketch — an O(ε)-covariance
-// approximation of A_wᵀA_w.
-func (h *Histogram) Gram() *mat.Dense { return h.gram.Clone() }
-
 // GramView returns the Gram the histogram keeps, BᵀB of the stacked
 // sketch, without copying it. The result aliases the histogram: callers
 // only read it, and it changes in place with the next Add or Advance.

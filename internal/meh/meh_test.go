@@ -19,7 +19,7 @@ func TestEmpty(t *testing.T) {
 	if h.SketchRows().Rows() != 0 {
 		t.Fatal("empty mEH should have no sketch rows")
 	}
-	if mat.FrobSq(h.Gram()) != 0 {
+	if mat.FrobSq(h.GramView()) != 0 {
 		t.Fatal("empty mEH Gram should be zero")
 	}
 }
@@ -30,7 +30,7 @@ func TestSingleRowExact(t *testing.T) {
 	if math.Abs(h.FrobSqEstimate()-25) > 1e-12 {
 		t.Fatalf("FrobSqEstimate = %v, want 25", h.FrobSqEstimate())
 	}
-	g := h.Gram()
+	g := h.GramView()
 	if math.Abs(g.At(0, 0)-9) > 1e-9 || math.Abs(g.At(0, 1)-12) > 1e-9 {
 		t.Fatalf("Gram wrong: %v", g)
 	}
@@ -150,7 +150,7 @@ func TestGramMatchesSketchRows(t *testing.T) {
 	for i := int64(1); i <= 200; i++ {
 		h.Add(i, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 	}
-	if !h.Gram().EqualApprox(mat.Gram(h.SketchRows()), 1e-9) {
+	if !h.GramView().EqualApprox(mat.Gram(h.SketchRows()), 1e-9) {
 		t.Fatal("Gram should equal Gram(SketchRows)")
 	}
 }

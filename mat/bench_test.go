@@ -122,3 +122,25 @@ func BenchmarkThinSVDNoU40x32(b *testing.B) {
 		ThinSVDNoU(a, ws)
 	}
 }
+
+// BenchmarkMulVecInto32 is one step of DA1's power test at d = 32: the
+// dense 32×32 D times a vector.
+func BenchmarkMulVecInto32(b *testing.B) {
+	a := benchMat(32, 32, 13)
+	x := benchMat(1, 32, 14).Row(0)
+	y := make([]float64, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MulVecInto(y, a, x)
+	}
+}
+
+// BenchmarkOuterAdd32 is the mEH's rank-1 window-Gram update at d = 32.
+func BenchmarkOuterAdd32(b *testing.B) {
+	g := NewDense(32, 32)
+	v := benchMat(1, 32, 15).Row(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		OuterAdd(g, v, 1e-9)
+	}
+}

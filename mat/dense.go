@@ -8,6 +8,19 @@
 // The package is self-contained (standard library only) and deterministic:
 // nothing in it draws randomness except functions that take an explicit
 // *rand.Rand.
+//
+// The inner loops under the solvers and the Gram updates (the QL
+// rotations, the axpys and rank-1 updates, four-row dot products, the
+// Householder rank-2 update, elementwise subtraction) have amd64 assembly
+// kernels, four-lane AVX2 with separate multiplies and adds (no FMA, no
+// reassociation), so each returns the bits of the Go loop it replaces: a
+// lane rounds exactly like the scalar statement, and the four
+// accumulators of Dot are the four lanes of one register, reduced as
+// (s0+s1)+(s2+s3). The kernels run when CPUID reports OSXSAVE, AVX and
+// AVX2 and XGETBV shows the XMM and YMM state enabled, checked once at
+// package initialization; otherwise, and on every other GOARCH, the Go
+// loops run. No option selects between them, and no result depends on
+// which runs.
 package mat
 
 import (

@@ -97,18 +97,35 @@ func householderReduce(w *Dense, d, e []float64) {
 		for j := range p {
 			p[j] = 0
 		}
-		for j := 0; j < i; j++ {
-			f = v[j]
-			a[i*n+j] = f // keep the reflector in row i
-			row := a[j*n+j+1 : j*n+i]
-			vr, pr := v[j+1:i], p[j+1:i]
-			vr, pr = vr[:len(row)], pr[:len(row)] // lets the compiler drop bounds checks
+		copy(a[i*n:i*n+i], v) // keep the reflector in row i
+		j := 0
+		for ; j+2 <= i; j += 2 {
+			// Rows j and j+1 in one pass: two independent g chains. Each
+			// p[k] still receives row j's term before row j+1's, and row
+			// j's term for k = j+1 lands before row j+1's chain starts
+			// from p[j+1].
+			f, f1 := v[j], v[j+1]
+			ajj1 := a[j*n+j+1]
 			g = p[j] + a[j*n+j]*f
+			g += ajj1 * v[j+1]
+			p[j+1] += ajj1 * f
+			g1 := p[j+1] + a[(j+1)*n+j+1]*f1
+			row, row1 := a[j*n+j+2:j*n+i], a[(j+1)*n+j+2:(j+1)*n+i]
+			vr, pr := v[j+2:i], p[j+2:i]
+			row1, vr, pr = row1[:len(row)], vr[:len(row)], pr[:len(row)] // lets the compiler drop bounds checks
 			for k, ajk := range row {
+				ajk1 := row1[k]
 				g += ajk * vr[k]
+				g1 += ajk1 * vr[k]
 				pr[k] += ajk * f
+				pr[k] += ajk1 * f1
 			}
-			p[j] = g
+			p[j], p[j+1] = g, g1
+		}
+		if j < i {
+			// The last row of an odd block: its upper triangle past the
+			// diagonal is empty.
+			p[j] += a[j*n+j] * v[j]
 		}
 		f = 0
 		for j := range p {
@@ -120,15 +137,8 @@ func householderReduce(w *Dense, d, e []float64) {
 			p[j] -= hh * v[j]
 		}
 		// Rank-2 update S ← S − v·pᵀ − p·vᵀ of the upper triangle.
+		rank2Update(a, n, v, p)
 		for j := 0; j < i; j++ {
-			f = v[j]
-			g = p[j]
-			row := a[j*n+j : j*n+i]
-			vj, pj := v[j:i], p[j:i]
-			vj, pj = vj[:len(row)], pj[:len(row)]
-			for k := range row {
-				row[k] -= f*pj[k] + g*vj[k]
-			}
 			d[j] = a[j*n+i-1]
 			a[j*n+i] = 0
 		}
@@ -151,13 +161,14 @@ func accumulateReflectors(w *Dense, d []float64) {
 			for k, x := range ri {
 				d[k] = x / h
 			}
-			for j := 0; j <= i; j++ {
-				rj := a[j*n : j*n+i+1]
-				g := Dot(ri, rj)
-				dk := d[:len(rj)]
-				for k := range rj {
-					rj[k] -= g * dk[k]
-				}
+			// Row j of the leading block loses Dot(ri, row j)·d[:i+1],
+			// four rows at a time: the rows are distinct from ri and d,
+			// so forming four dots before the four updates changes no bit.
+			var g [4]float64
+			for j := 0; j <= i; j += 4 {
+				gj := g[:min(4, i+1-j)]
+				dotRows(gj, ri, a[j*n:], n)
+				subRows(a[j*n:], n, gj, d[:i+1])
 			}
 		}
 		for k := range ri {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -294,8 +295,10 @@ func decodeSym(b []byte) *Dense {
 // FuzzEigSym feeds arbitrary symmetric matrices to EigSym and to the
 // values-first EigSymValuesInto. Every input, NaN and ±Inf included, must
 // return from both, and form a vector, without a panic or a hang (the QL
-// iteration is bounded). On finite input the values-first eigenvalues
-// must equal EigSym's bit for bit. Finite input with ‖A‖_F in
+// iteration is bounded), and EigSym must return the same bits with the
+// AVX2 kernels off (a NaN's sign and payload aside). On finite input the
+// values-first eigenvalues must equal EigSym's bit for bit. Finite input
+// with ‖A‖_F in
 // [1e-100, 1e100] must decompose both ways: reconstruction within
 // 1e-10·‖A‖_F, orthonormality within 1e-10 (so every vector has unit norm
 // and distinct vectors are orthogonal within 1e-10), values in decreasing
@@ -318,6 +321,15 @@ func FuzzEigSym(f *testing.F) {
 		e := EigSym(a)
 		lazy := EigSymValuesInto(a, NewWorkspace())
 		lazy.VectorInto(make([]float64, a.rows), 0)
+		goLoops := withKernels(false, func() []float64 {
+			g := EigSym(a)
+			return slices.Concat(g.Values, g.Vectors.data)
+		})
+		for i, x := range slices.Concat(e.Values, e.Vectors.data) {
+			if !sameBits(x, goLoops[i]) {
+				t.Fatalf("EigSym output %d: %v, but %v with the kernels off", i, x, goLoops[i])
+			}
+		}
 		for _, x := range a.data {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return

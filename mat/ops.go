@@ -24,17 +24,7 @@ func Sub(a, b *Dense) *Dense {
 func SubInto(dst, a, b *Dense) {
 	checkSame(a, b, "SubInto")
 	checkSame(dst, a, "SubInto")
-	for i, v := range a.data {
-		dst.data[i] = v - b.data[i]
-	}
-}
-
-// AddInPlace sets a += b. Dimensions must match.
-func AddInPlace(a, b *Dense) {
-	checkSame(a, b, "AddInPlace")
-	for i, v := range b.data {
-		a.data[i] += v
-	}
+	subVec(dst.data, a.data, b.data)
 }
 
 // Scale returns s*a as a new matrix.
@@ -118,9 +108,7 @@ func MulVecInto(dst []float64, a *Dense, x []float64) {
 	if len(dst) != a.rows {
 		panic(fmt.Sprintf("mat: MulVecInto dst length %d != rows %d", len(dst), a.rows))
 	}
-	for i := 0; i < a.rows; i++ {
-		dst[i] = Dot(a.data[i*a.cols:(i+1)*a.cols], x)
-	}
+	dotRows(dst, x, a.data, a.cols)
 }
 
 // MulTVec returns aᵀ*x. It panics unless len(x) == a.Rows().
@@ -187,42 +175,22 @@ func OuterAdd(dst *Dense, v []float64, s float64) {
 	addOuter(dst.data, v, s)
 }
 
-// addOuter adds s·vᵀv into the row-major d×d buffer dst.
-//
-// Dense data is the common case in the sketch hot path, so there is no
-// zero-skip branch here: each row update is a straight unrolled axpy.
-// Sparse rows take the nnz²-cost path in sparse.go instead.
-func addOuter(dst []float64, v []float64, s float64) {
-	d := len(v)
-	for i, vi := range v {
-		axpyKernel(s*vi, v, dst[i*d:i*d+d])
-	}
-}
-
 // Dot returns the inner product of x and y. Lengths must match.
 //
-// The loop is 4-way unrolled with independent accumulators; the result is
-// deterministic but differs from a naive left-to-right sum by O(ε)
-// rounding.
+// The sum runs in four interleaved accumulators, reduced as
+// (s0+s1)+(s2+s3) (dotGo; under AVX2 the accumulators are the lanes of
+// one register, with the same bits); the result is deterministic but
+// differs from a naive left-to-right sum by O(ε) rounding.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x4 := x[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		s0 += x4[0] * y4[0]
-		s1 += x4[1] * y4[1]
-		s2 += x4[2] * y4[2]
-		s3 += x4[3] * y4[3]
+	if useAVX2 {
+		var s [1]float64
+		dotRowsAVX2(s[:], x, y, 0)
+		return s[0]
 	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < len(x); i++ {
-		s += x[i] * y[i]
-	}
-	return s
+	return dotGo(x, y)
 }
 
 // Axpy sets y += a*x. Lengths must match.
@@ -231,23 +199,6 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("mat: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	axpyKernel(a, x, y)
-}
-
-// axpyKernel is the unchecked 4-way unrolled y += a*x kernel; callers
-// guarantee len(y) >= len(x).
-func axpyKernel(a float64, x, y []float64) {
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x4 := x[i : i+4 : i+4]
-		y4 := y[i : i+4 : i+4]
-		y4[0] += a * x4[0]
-		y4[1] += a * x4[1]
-		y4[2] += a * x4[2]
-		y4[3] += a * x4[3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += a * x[i]
-	}
 }
 
 // axpy2 sets y0 += c0*x and y1 += c1*x in one pass over x, the 2-row

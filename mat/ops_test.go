@@ -27,16 +27,16 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestAddSubInPlace(t *testing.T) {
+func TestSubIntoInPlace(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{3, 4}})
-	AddInPlace(a, b)
-	if a.At(0, 1) != 6 {
-		t.Fatalf("AddInPlace wrong: %v", a)
-	}
 	SubInto(a, a, b)
-	if a.At(0, 1) != 2 {
-		t.Fatalf("SubInto in place wrong: %v", a)
+	if a.At(0, 1) != -2 {
+		t.Fatalf("SubInto into a wrong: %v", a)
+	}
+	SubInto(b, a, b)
+	if b.At(0, 1) != -6 {
+		t.Fatalf("SubInto into b wrong: %v", b)
 	}
 }
 

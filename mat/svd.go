@@ -116,16 +116,6 @@ func JacobiSVD(a *Dense) SVD {
 	return out
 }
 
-// rotateRows applies [c -s; s c] to the row pair (p, q).
-func rotateRows(p, q []float64, c, s float64) {
-	q = q[:len(p)] // lets the compiler drop bounds checks
-	for j := range p {
-		pj, qj := p[j], q[j]
-		p[j] = c*pj - s*qj
-		q[j] = s*pj + c*qj
-	}
-}
-
 // Reconstruct returns U·diag(S)·Vt, the matrix the decomposition factors.
 func (s SVD) Reconstruct() *Dense {
 	k := len(s.S)

@@ -223,11 +223,10 @@ func thinSVDInto(a *Dense, ws *Workspace, needU bool) SVD {
 		ws.gram.reshape(n, n)
 		g := &ws.gram
 		for i := 0; i < n; i++ {
-			ri := a.Row(i)
-			for j := i; j < n; j++ {
-				v := Dot(ri, a.Row(j))
-				g.data[i*n+j] = v
-				g.data[j*n+i] = v
+			gi := g.data[i*n+i : i*n+n]
+			dotRows(gi, a.Row(i), a.data[i*d:], d)
+			for j := i + 1; j < n; j++ {
+				g.data[j*n+i] = gi[j-i]
 			}
 		}
 		eig := EigSymInto(g, ws)
@@ -255,15 +254,9 @@ func thinSVDInto(a *Dense, ws *Workspace, needU bool) SVD {
 				s[k] = 0
 				continue // leave a zero row in Vt
 			}
-			inv := 1 / s[k]
-			vtk := vt.Row(k)
-			for i := 0; i < n; i++ {
-				uik := u.data[i*n+k]
-				if uik == 0 {
-					continue
-				}
-				Axpy(inv*uik, a.Row(i), vtk)
-			}
+			// Vt row k = Σ_i (U_ik/σ_k)·A row i; column k of U is
+			// eigenvector k.
+			axpyRows(vt.Row(k), a.data, eig.Vectors.Row(k), 1/s[k])
 		}
 		return SVD{U: u, S: s, Vt: vt}
 	}
