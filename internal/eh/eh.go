@@ -37,7 +37,12 @@ type Histogram struct {
 	eps2    float64  // ε/2, the merge threshold factor
 	buckets []bucket // oldest first
 	pending int      // inserts since last compaction
-	version uint64   // bumped on every structural change
+	// newer is the sum of every bucket but the oldest, folded oldest to
+	// newest: the part of Query's sum that needs no look at the window
+	// edge. Insert extends it — the same left-to-right sum, so the same
+	// bits — and compaction, expiry and Restore refold it.
+	newer   float64
+	version uint64 // bumped on every structural change
 	// scratch is compact's output double-buffer: compact builds the merged
 	// bucket list here, then swaps it with buckets, so neither slice is
 	// reallocated at steady state.
@@ -103,6 +108,9 @@ func (h *Histogram) Insert(t int64, weight float64) {
 	if math.IsNaN(weight) || math.IsInf(weight, 0) {
 		panic("eh: weight must be finite")
 	}
+	if len(h.buckets) > 0 {
+		h.newer += weight
+	}
 	h.buckets = append(h.buckets, bucket{sum: weight, newest: t, oldest: t})
 	h.version++
 	h.pending++
@@ -153,6 +161,16 @@ func (h *Histogram) compact() {
 	}
 	h.scratch = h.buckets[:0]
 	h.buckets = out
+	h.refold()
+}
+
+// refold recomputes newer from the buckets.
+func (h *Histogram) refold() {
+	var s float64
+	for i := 1; i < len(h.buckets); i++ {
+		s += h.buckets[i].sum
+	}
+	h.newer = s
 }
 
 // Advance expires buckets whose newest item is outside the window at now.
@@ -167,6 +185,7 @@ func (h *Histogram) Advance(now int64) {
 		// re-slicing forward would shed capacity, and Insert would
 		// reallocate.
 		h.buckets = h.buckets[:copy(h.buckets, h.buckets[i:])]
+		h.refold()
 		h.version++
 		if h.sink != nil {
 			h.sink.OnEvent(obs.Event{Kind: obs.EvBucketExpired, Site: h.site, T: now, N: i})
@@ -183,14 +202,12 @@ func (h *Histogram) Version() uint64 { return h.version }
 // except the oldest, plus half of the oldest when it merged more than one
 // item (only that bucket can straddle the window boundary; a single-item
 // bucket is exact). Call Advance(now) first if time moved without inserts.
+// It costs O(1): the newer buckets' sum is kept.
 func (h *Histogram) Query() float64 {
 	if len(h.buckets) == 0 {
 		return 0
 	}
-	var s float64
-	for _, b := range h.buckets[1:] {
-		s += b.sum
-	}
+	s := h.newer
 	ob := h.buckets[0]
 	if ob.oldest == ob.newest {
 		s += ob.sum

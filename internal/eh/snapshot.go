@@ -44,5 +44,6 @@ func Restore(sn Snapshot) (*Histogram, error) {
 		prev = b.Newest
 		h.buckets[i] = bucket{sum: b.Sum, newest: b.Newest, oldest: b.Oldest}
 	}
+	h.refold()
 	return h, nil
 }

@@ -19,6 +19,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if r.Query() != h.Query() || r.Exact() != h.Exact() || r.Buckets() != h.Buckets() {
 		t.Fatal("restored histogram differs")
 	}
+	checkFold(t, r, 0)
 	// Continued inserts stay identical.
 	for i := int64(2001); i <= 2500; i++ {
 		w := 0.5 + rng.Float64()
@@ -28,6 +29,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if r.Query() != h.Query() || r.Buckets() != h.Buckets() {
 		t.Fatal("restored histogram diverged")
 	}
+	checkFold(t, r, 500)
 }
 
 func TestSnapshotRestoreRejectsCorrupt(t *testing.T) {

@@ -17,15 +17,30 @@ func gramDrift(h *Histogram) (drift, live float64) {
 	return math.Sqrt(mat.FrobSq(mat.Sub(h.gram, mat.Gram(h.SketchRows())))), live
 }
 
+// checkFold fails unless the kept fold of the newer buckets' mass equals a
+// fresh oldest-to-newest scan of them, bit for bit.
+func checkFold(t testing.TB, h *Histogram, step int) {
+	t.Helper()
+	var s float64
+	for i := 1; i < len(h.buckets); i++ {
+		s += h.buckets[i].frobSq
+	}
+	if math.Float64bits(h.newer) != math.Float64bits(s) {
+		t.Fatalf("step %d: kept fold %v (%#x), a fresh scan gives %v (%#x)", step, h.newer, math.Float64bits(h.newer), s, math.Float64bits(s))
+	}
+}
+
 // checkGram fails unless the kept Gram is within 1e-12 × the live mass of
-// the fresh sum, and exactly zero once the histogram has emptied, and
-// unless SpaceWords equals a fresh count over the stored rows. It returns
-// the drift relative to the live mass (0 when empty).
+// the fresh sum, and exactly zero once the histogram has emptied, unless
+// SpaceWords equals a fresh count over the stored rows, and unless the
+// kept fold equals a fresh scan bit for bit. It returns the drift relative
+// to the live mass (0 when empty).
 func checkGram(t testing.TB, h *Histogram, step int) float64 {
 	t.Helper()
 	if got, want := h.SpaceWords(), h.SketchRows().Rows()*h.d+4*len(h.buckets); got != want {
 		t.Fatalf("step %d: SpaceWords = %d, a fresh count gives %d", step, got, want)
 	}
+	checkFold(t, h, step)
 	if len(h.buckets) == 0 {
 		for i, x := range h.gram.Data() {
 			if x != 0 {
@@ -148,9 +163,10 @@ func TestGramTracksBuckets(t *testing.T) {
 
 // FuzzHistogramGram decodes bytes into adversarial Add/Advance sequences
 // (rows from 1e-8 to 1e8 in scale, rank-1 spikes, zero rows, duplicate
-// timestamps, idle gaps past the window) and checks the kept Gram against
-// a fresh sum after every step. Run with `go test -fuzz=FuzzHistogramGram`;
-// the seed corpus runs in normal test mode.
+// timestamps, idle gaps past the window) and checks the kept Gram and the
+// kept fold against fresh sums after every step. Run with
+// `go test -fuzz=FuzzHistogramGram`; the seed corpus runs in normal test
+// mode.
 func FuzzHistogramGram(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{3, 1, 16, 3, 1, 16, 3, 0, 0, 2, 0, 8, 0, 200, 0, 3, 1, 8})

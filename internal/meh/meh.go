@@ -45,6 +45,11 @@ type Histogram struct {
 	ell     int     // FD sketch size per bucket
 	buckets []bucket
 	pending int
+	// newer is Σ F_b² over every bucket but the oldest, folded oldest to
+	// newest: the part of FrobSqEstimate that needs no look at the window
+	// edge. Add extends it — the same left-to-right sum, so the same bits —
+	// and compaction, expiry and Restore refold it.
+	newer float64
 	// rows is the number of sketch rows the live buckets store, kept in
 	// step on add, merge and expiry so SpaceWords costs O(1).
 	rows int
@@ -211,6 +216,9 @@ func (h *Histogram) Add(t int64, v []float64) {
 		h.Advance(t)
 		return
 	}
+	if len(h.buckets) > 0 {
+		h.newer += w
+	}
 	h.buckets = append(h.buckets, bucket{row: h.getRow(v), frobSq: w, newest: t, oldest: t})
 	h.rows++
 	mat.OuterAdd(h.gram, v, 1)
@@ -259,17 +267,29 @@ func (h *Histogram) addGram(b *bucket, s float64) {
 	}
 }
 
-// settle rebuilds gram from the buckets once the mass subtracted from it
-// since the last rebuild exceeds twice the live mass. A histogram that
-// has emptied therefore always ends with gram exactly zero.
+// settle follows a compaction or an expiry: it refolds newer, and it
+// rebuilds gram from the buckets once the mass subtracted from it since
+// the last rebuild exceeds twice the live mass. A histogram that has
+// emptied therefore always ends with gram exactly zero.
 func (h *Histogram) settle() {
-	live := 0.0
-	for i := range h.buckets {
-		live += h.buckets[i].frobSq
-	}
-	if h.sub > 2*live {
+	if h.sub > 2*h.refold() {
 		h.rebuildGram()
 	}
+}
+
+// refold recomputes newer from the buckets and returns the live mass
+// Σ_b F_b², both folded oldest to newest.
+func (h *Histogram) refold() (live float64) {
+	var newer float64
+	for i := range h.buckets {
+		f := h.buckets[i].frobSq
+		live += f
+		if i > 0 {
+			newer += f
+		}
+	}
+	h.newer = newer
+	return live
 }
 
 // rebuildGram recomputes gram exactly from the live buckets.
@@ -378,15 +398,12 @@ func (h *Histogram) Advance(now int64) {
 
 // FrobSqEstimate returns the gEH-style estimate of ‖A_w‖_F²: full mass of
 // all buckets except a straddling (multi-row) oldest bucket, which
-// contributes half.
+// contributes half. It costs O(1): the newer buckets' mass is kept.
 func (h *Histogram) FrobSqEstimate() float64 {
 	if len(h.buckets) == 0 {
 		return 0
 	}
-	var s float64
-	for i := 1; i < len(h.buckets); i++ {
-		s += h.buckets[i].frobSq
-	}
+	s := h.newer
 	ob := &h.buckets[0]
 	if ob.single() || ob.oldest == ob.newest {
 		s += ob.frobSq

@@ -107,6 +107,7 @@ func Restore(sn Snapshot) (*Histogram, error) {
 		h.buckets[i] = nb
 		h.rows += nb.rows()
 	}
+	h.refold()
 	if sn.Gram == nil {
 		h.rebuildGram()
 	} else {

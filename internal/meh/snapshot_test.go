@@ -28,6 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !r.gram.Equal(h.gram) || r.sub != h.sub {
 		t.Fatal("restored Gram differs")
 	}
+	checkFold(t, r, 0)
 	for i := int64(801); i <= 3100; i++ {
 		v := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		h.Add(i, v)
@@ -39,6 +40,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !r.gram.Equal(h.gram) {
 		t.Fatal("restored Gram diverged after more rows")
 	}
+	checkFold(t, r, 2300)
 }
 
 // TestSnapshotWithoutGramRebuilds restores a snapshot in the layout
@@ -59,6 +61,7 @@ func TestSnapshotWithoutGramRebuilds(t *testing.T) {
 	if !r.gram.Equal(mat.Gram(r.SketchRows())) || r.sub != 0 {
 		t.Fatal("Gram not rebuilt from the buckets")
 	}
+	checkFold(t, r, 0)
 	for i := int64(1501); i <= 2500; i++ {
 		r.Add(i, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 		checkGram(t, r, int(i))

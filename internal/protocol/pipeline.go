@@ -21,9 +21,11 @@ type EmitAt func(t int64, scale float64, v []float64)
 // per-site state needs no locking but anything shared (counters, the
 // tracker's site array) must be safe for concurrent sites.
 //
-// The v slice passed to HandleRow aliases the lane's ring slot and is
-// reused after the slot is popped — the handler must copy anything it
-// retains (the trackers already honor this no-retention contract).
+// The v slice passed to HandleRow aliases the block of rows the lane's
+// ring slot carries; once the slot is popped the block goes back to the
+// producer, and the very next enqueue may refill it — the handler must
+// copy anything it retains (the trackers already honor this no-retention
+// contract).
 //
 // Each call returns the lane's new progress: a promise that every future
 // emission from this site has emission time ≥ progress. For a plain lane
@@ -43,7 +45,9 @@ type PipelineConfig struct {
 	Workers int
 	// RingSize is the per-lane input ring capacity in blocks (rounded up
 	// to a power of two). ≤0 means 256. When a lane's ring fills, enqueues
-	// block — backpressure, not loss.
+	// block — backpressure, not loss. The depth bounds the blocks a lane
+	// may have in flight; a lane's row buffers follow the blocks it has
+	// actually had in flight at once, not the depth.
 	RingSize int
 	// MaxBlock caps the rows per ring block. ≤0 means 64. EnqueueRows
 	// splits longer runs into MaxBlock-row blocks, each one ring op.
@@ -292,12 +296,7 @@ func NewPipeline(sites int, h LaneHandler, apply func(Update), cfg PipelineConfi
 func (p *Pipeline) EnqueueRow(site int, t int64, v []float64) {
 	ln := p.lanes[site]
 	ln.enq.Add(1)
-	ln.ring.push(func(s *laneItem) {
-		s.kind = itemRow
-		s.n, s.d = 1, len(v)
-		s.ts = append(s.ts[:0], t)
-		s.vbuf = append(s.vbuf[:0], v...)
-	})
+	ln.ring.push(func(s *laneItem) { s.fillRows(ln.ring.block(), []stream.Row{{T: t, V: v}}) })
 	p.wakeWorker(site)
 }
 
@@ -316,7 +315,7 @@ func (p *Pipeline) EnqueueRows(site int, rows []stream.Row) {
 		blk := rows[:n]
 		rows = rows[n:]
 		ln.enq.Add(1)
-		ln.ring.push(func(s *laneItem) { s.fillRows(blk) })
+		ln.ring.push(func(s *laneItem) { s.fillRows(ln.ring.block(), blk) })
 		// Wake per block, not once after the loop: if the worker is parked
 		// and this call carries more blocks than the ring holds, push would
 		// block on a full ring with no one ever told to drain it.
@@ -356,7 +355,7 @@ func (p *Pipeline) kickCoord() {
 }
 
 // worker drains its lanes' rings, running the handler in-place on each
-// block (peek → handle → pop, so the slot buffers are stable during the
+// block (peek → handle → pop, so a block's rows are stable during the
 // calls), then releases its lanes' pending emissions through the local
 // pre-merge before parking.
 func (p *Pipeline) worker(w *workerState) {
@@ -509,14 +508,23 @@ func (p *Pipeline) coordinator() {
 // if an update is waiting, else +inf during a drain once the worker is
 // fully idle (a drained worker cannot release again), else its published
 // floor.
+//
+// The floor and the idle test are read before the out-ring. A worker
+// pushes an update before it publishes a floor above it, and before its
+// pending count drops, so an out-ring found empty after those reads holds
+// nothing they do not cover. Peeking first would let a push and a floor
+// publish land between the two reads: the coordinator would then apply
+// other workers' later updates past the one just pushed.
 func (p *Pipeline) leafKey(w *workerState) mergeKey {
+	floor := w.readFloor()
+	drained := p.draining.Load() && w.idle()
 	if u, ok := w.out.peek(); ok {
 		return mergeKey{t: u.T, site: u.Site, real: true}
 	}
-	if p.draining.Load() && w.idle() {
+	if drained {
 		return mergeKey{t: maxInt64, site: w.id}
 	}
-	return w.readFloor()
+	return floor
 }
 
 // Drain blocks until every enqueued block has been processed, every

@@ -123,10 +123,10 @@ func TestSPSCRingBackpressure(t *testing.T) {
 }
 
 // TestSPSCRingSlotOwnership pins the peek → process → pop contract under
-// the race detector: the consumer mutates a peeked slot's buffers in place
-// (as the worker's handlers do) while the producer refills recycled slots.
-// Any overlap between producer fill and consumer processing is a data race
-// the -race run would flag.
+// the race detector: the consumer mutates a peeked item's block in place
+// (as the worker's handlers do) while the producer refills handed-back
+// blocks. Any overlap between producer fill and consumer processing is a
+// data race the -race run would flag.
 func TestSPSCRingSlotOwnership(t *testing.T) {
 	r := newSPSCRing(4)
 	const n = 20_000
@@ -137,7 +137,7 @@ func TestSPSCRingSlotOwnership(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rows[0].T = int64(i)
 			rows[0].V[0], rows[0].V[1] = float64(i), float64(2*i)
-			r.push(func(s *laneItem) { s.fillRows(rows) })
+			r.push(func(s *laneItem) { s.fillRows(r.block(), rows) })
 		}
 	}()
 	for i := 0; i < n; i++ {
@@ -155,7 +155,7 @@ func TestSPSCRingSlotOwnership(t *testing.T) {
 		}
 		// Process in place: the slot is ours until pop.
 		v[0], v[1] = v[1], v[0]
-		it.ts[0] = -ts
+		it.blk.ts[0] = -ts
 		r.pop()
 	}
 	<-done

@@ -16,11 +16,22 @@ const (
 	itemFlush
 )
 
+// rowBlock is the storage of one row item: the rows' timestamps, and their
+// values packed row after row. A block belongs to its lane, not to a ring
+// slot: the producer fills it, a slot carries it to the consumer, and pop
+// hands it back to the producer for a later row item. A lane therefore
+// holds only as many blocks as it has had row items in flight at once,
+// not one per slot, and at steady state the blocks have grown to the
+// block size and nothing allocates.
+type rowBlock struct {
+	ts   []int64
+	vbuf []float64
+}
+
 // laneItem is one slot of a lane's input ring: a block of rows, an advance
-// token, or a drain-time flush token. Row slots own their buffers — filling
-// a slot copies the caller's timestamps and values into ts/vbuf, so the
-// caller may reuse its backing arrays and the steady state allocates
-// nothing once the slot buffers have grown to the block size.
+// token, or a drain-time flush token. Filling a row item copies the
+// caller's timestamps and values into a block, so the caller may reuse its
+// backing arrays; tokens carry no block.
 //
 // Blocks amortize the per-item costs of the pipeline (ring atomics,
 // wakeups, progress stores) over up to maxBlock rows: one ring op moves a
@@ -30,30 +41,28 @@ type laneItem struct {
 	// t is the advance timestamp (itemAdvance only).
 	t int64
 	// n is the number of rows in the block, d the row stride; row r lives
-	// at ts[r], vbuf[r*d : (r+1)*d]. All rows of a block share d.
-	n    int
-	d    int
-	ts   []int64
-	vbuf []float64
+	// at blk.ts[r], blk.vbuf[r*d : (r+1)*d]. All rows of a block share d.
+	n   int
+	d   int
+	blk *rowBlock // itemRow only; nil once popped
 }
 
-// fillRows writes a block of rows into the slot, reusing its buffers.
-func (s *laneItem) fillRows(rows []stream.Row) {
-	s.kind = itemRow
-	s.n = len(rows)
-	s.d = len(rows[0].V)
-	s.ts = s.ts[:0]
-	s.vbuf = s.vbuf[:0]
+// fillRows makes the slot a row item holding rows, copied into block b.
+func (s *laneItem) fillRows(b *rowBlock, rows []stream.Row) {
+	b.ts = b.ts[:0]
+	b.vbuf = b.vbuf[:0]
 	for _, r := range rows {
-		s.ts = append(s.ts, r.T)
-		s.vbuf = append(s.vbuf, r.V...)
+		b.ts = append(b.ts, r.T)
+		b.vbuf = append(b.vbuf, r.V...)
 	}
+	s.kind, s.n, s.d, s.blk = itemRow, len(rows), len(rows[0].V), b
 }
 
-// row returns the r-th row of a block slot; the slice aliases the slot
-// buffer and is only valid until pop.
+// row returns the r-th row of a row item; the slice aliases the item's
+// block and is only valid until pop.
 func (s *laneItem) row(r int) (int64, []float64) {
-	return s.ts[r], s.vbuf[r*s.d : (r+1)*s.d : (r+1)*s.d]
+	b := s.blk
+	return b.ts[r], b.vbuf[r*s.d : (r+1)*s.d : (r+1)*s.d]
 }
 
 // spscRing is a bounded single-producer/single-consumer ring buffer with
@@ -61,9 +70,19 @@ func (s *laneItem) row(r int) (int64, []float64) {
 // consumer frees a slot. The producer is the site's feeder goroutine, the
 // consumer its worker; neither side locks on the fast path.
 //
-// The consumer protocol is peek → process → pop: a slot's buffer may be
-// handed to site-local work by reference, and only pop recycles it for the
-// producer, so processing never races a producer overwrite.
+// The consumer protocol is peek → process → pop: a row item's block may
+// be handed to site-local work by reference, and only pop hands it back to
+// the producer, so processing never races a producer overwrite. Once
+// popped, a block may be refilled by the very next push, so nothing may
+// keep a reference into it past pop.
+//
+// Blocks travel back through free, a second SPSC ring running the other
+// way (the consumer appends at freeTail, the producer takes at freeHead),
+// the discipline outRing's chunk freelist uses. pop hands a block back
+// before it advances head, so when the producer finds free empty every
+// block the lane owns sits in a slot between head and tail: the lane never
+// owns more blocks than the ring has slots, and free, as long as slots,
+// cannot overflow.
 type spscRing struct {
 	slots []laneItem
 	mask  uint64
@@ -71,6 +90,12 @@ type spscRing struct {
 	// is tail−head; both only ever increase.
 	head atomic.Uint64
 	tail atomic.Uint64
+
+	// free holds popped blocks for the producer. freeTail is written by
+	// the consumer only, freeHead is the producer's own.
+	free     []*rowBlock
+	freeTail atomic.Uint64
+	freeHead uint64
 
 	// Producer parking. prodWaiting is checked by the consumer after every
 	// pop; the mutex is only touched when the ring actually fills.
@@ -84,13 +109,13 @@ func newSPSCRing(size int) *spscRing {
 	for n < size {
 		n <<= 1
 	}
-	r := &spscRing{slots: make([]laneItem, n), mask: uint64(n - 1)}
+	r := &spscRing{slots: make([]laneItem, n), mask: uint64(n - 1), free: make([]*rowBlock, n)}
 	r.notFull = sync.NewCond(&r.mu)
 	return r
 }
 
-// push fills the next slot via fill (which writes into the slot in place,
-// reusing its buffers) and publishes it. Blocks while the ring is full.
+// push fills the next slot via fill (which writes into the slot in place)
+// and publishes it. Blocks while the ring is full.
 func (r *spscRing) push(fill func(*laneItem)) {
 	for {
 		t := r.tail.Load()
@@ -112,6 +137,19 @@ func (r *spscRing) push(fill func(*laneItem)) {
 	}
 }
 
+// block returns a block for the row item being filled: one the consumer
+// has handed back if any is waiting, else a new one. Producer only, and
+// only from inside push's fill: the ownership bound above counts on the
+// slot check's head load coming first.
+func (r *spscRing) block() *rowBlock {
+	if r.freeHead == r.freeTail.Load() {
+		return new(rowBlock)
+	}
+	b := r.free[r.freeHead&r.mask]
+	r.freeHead++
+	return b
+}
+
 // peek returns the next slot to process without consuming it. The slot
 // stays owned by the consumer until pop.
 func (r *spscRing) peek() (*laneItem, bool) {
@@ -122,8 +160,8 @@ func (r *spscRing) peek() (*laneItem, bool) {
 	return &r.slots[h&r.mask], true
 }
 
-// pop recycles the slot returned by the last peek and unparks a blocked
-// producer.
+// pop hands the block of the slot returned by the last peek back to the
+// producer, recycles the slot and unparks a blocked producer.
 //
 // head.Add is not a single-writer hazard: the ring is single-consumer by
 // contract (only the lane's worker calls peek/pop), so no other goroutine
@@ -132,6 +170,13 @@ func (r *spscRing) peek() (*laneItem, bool) {
 // even if a future refactor introduced a second popper — the RMW is then
 // atomic instead of silently dropping increments.
 func (r *spscRing) pop() {
+	s := &r.slots[r.head.Load()&r.mask]
+	if b := s.blk; b != nil {
+		s.blk = nil
+		ft := r.freeTail.Load()
+		r.free[ft&r.mask] = b
+		r.freeTail.Store(ft + 1)
+	}
 	r.head.Add(1)
 	if r.prodWaiting.Load() {
 		r.mu.Lock()

@@ -73,7 +73,10 @@ func WithParallel(workers int) Option {
 // in row blocks (rounded up to a power of two; ≤0 means the default,
 // 256). A TryObserve row occupies one block; an ObserveBatch run fills
 // blocks to capacity. When a site's ring fills, TryObserve/ObserveBatch
-// block until its worker catches up — backpressure, not loss.
+// block until its worker catches up — backpressure, not loss. The depth
+// bounds how many blocks a site may have in flight; the memory a site's
+// ring holds follows the blocks it has actually had in flight at once, so
+// a deep ring costs memory only while a feeder runs that far ahead.
 func WithRingSize(n int) Option {
 	return func(o *options) { o.ringSize = n }
 }

@@ -60,8 +60,8 @@ func (h laneHandler) HandleRow(site int, tt int64, v []float64, emitAt protocol.
 	if tt > ls.maxT {
 		ls.maxT = tt
 	}
-	// v aliases the lane's ring slot, which is reused after this call; the
-	// skew buffer outlives it, so copy.
+	// v aliases a block of the lane's ring, which the next enqueue may
+	// refill once this call returns; the skew buffer outlives it, so copy.
 	released, ok := t.skew[site].Add(stream.Row{T: tt, V: append([]float64(nil), v...)})
 	if !ok {
 		t.skewDropped.Inc()

@@ -3,6 +3,7 @@ package distwindow_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -483,4 +484,83 @@ func TestParallelDecayAdvance(t *testing.T) {
 	if gs.At(0, 0) == 0 || math.IsNaN(gs.At(0, 0)) {
 		t.Fatalf("degenerate gram: %v", gs.At(0, 0))
 	}
+}
+
+// TestParallelRingMemoryFollowsBlocksInFlight runs DA2 through
+// WithParallel(2) at the shape of the da2-pipeline benchmark (d=32, 20
+// sites, 64-row ObserveBatch runs per site, a Drain every 20,000 rows) and
+// bounds the heap it holds once collected. A lane's row buffers follow the
+// blocks it has had in flight at once, not its 256 ring slots: with one
+// 64×32-value buffer per slot, the rings alone would hold 20 × 256 × 16 KB
+// = 84 MB.
+func TestParallelRingMemoryFollowsBlocksInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("240,000-row DA2 run skipped in -short")
+	}
+	const (
+		d, sites, batch = 32, 20, 64
+		rowsPerWindow   = 10_000
+		drainEvery      = 2 * rowsPerWindow
+		total           = 240_000
+		limitMB         = 40
+	)
+	cfg := distwindow.Config{Protocol: distwindow.DA2, D: d, W: rowsPerWindow * 1000, Eps: 0.05, Sites: sites, Seed: 1}
+	tr, err := distwindow.New(cfg, distwindow.WithParallel(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rng := rand.New(rand.NewSource(1))
+	// A rank-4 signal plus noise, so DA2 emits and compacts as on real
+	// streams; each site stages rows into 64-row runs.
+	basis := make([][]float64, 4)
+	for i := range basis {
+		basis[i] = make([]float64, d)
+		for j := range basis[i] {
+			basis[i][j] = rng.NormFloat64()
+		}
+	}
+	stage := make([][]distwindow.Row, sites)
+	flush := func(s int) {
+		if len(stage[s]) == 0 {
+			return
+		}
+		if n, err := tr.ObserveBatch(s, stage[s]); err != nil || n != len(stage[s]) {
+			t.Fatalf("ObserveBatch site %d: %d of %d rows, %v", s, n, len(stage[s]), err)
+		}
+		stage[s] = stage[s][:0]
+	}
+	for i := 1; i <= total; i++ {
+		v := make([]float64, d)
+		for j := range v {
+			v[j] = 0.1 * rng.NormFloat64()
+		}
+		for _, b := range basis {
+			c := rng.NormFloat64()
+			for j := range v {
+				v[j] += c * b[j]
+			}
+		}
+		s := rng.Intn(sites)
+		stage[s] = append(stage[s], distwindow.Row{T: int64(i) * 1000, V: v})
+		if len(stage[s]) == batch {
+			flush(s)
+		}
+		if i%drainEvery == 0 {
+			for s := range stage {
+				flush(s)
+			}
+			tr.Drain()
+		}
+	}
+	stage = nil
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	heapMB := float64(ms.HeapAlloc) / (1 << 20)
+	t.Logf("heap after GC: %.1f MB", heapMB)
+	if heapMB >= limitMB {
+		t.Fatalf("parallel DA2 holds %.1f MB of heap after %d rows, want < %d MB", heapMB, total, limitMB)
+	}
+	runtime.KeepAlive(tr)
 }
