@@ -703,21 +703,14 @@ func (t *Tracker) Sketch() *mat.Dense {
 	return s.Sketch()
 }
 
-// GramSketcher is implemented by trackers whose coordinator state is the
-// Gram matrix Ĉ ≈ A_wᵀA_w itself — the deterministic family (DA1, DA2,
-// DA2-C and the decay tracker). The sampling protocols maintain rows, not
-// a Gram, and do not implement it.
-type GramSketcher interface {
-	SketchGram() *mat.Dense
-}
-
 // SketchGram returns the coordinator's covariance estimate Ĉ ≈ A_wᵀA_w
-// directly, when the underlying protocol implements GramSketcher (the
-// deterministic family). Sketch() factors the PSD-clipped Ĉ, an O(d³) step
-// per query that evaluation loops can skip by comparing against Ĉ instead.
-// It is an exact read with the same catch-up as Sketch.
+// directly, when the protocol keeps one (the deterministic family: DA1,
+// DA2, DA2-C and Decay; the sampling protocols keep rows, not a Gram).
+// Sketch() factors the PSD-clipped Ĉ, an O(d³) step per query that
+// evaluation loops can skip by comparing against Ĉ instead. It is an exact
+// read with the same catch-up as Sketch.
 func (t *Tracker) SketchGram() (*mat.Dense, bool) {
-	if _, ok := t.inner.(GramSketcher); !ok {
+	if _, ok := t.snap.Load().coord.Gram(); !ok {
 		return nil, false
 	}
 	s := t.exactQuery()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"distwindow/internal/protocol"
@@ -46,29 +45,22 @@ type sketchSnapshot struct {
 func (s sketchSnapshot) Sketch() *mat.Dense       { return s.b.Clone() }
 func (s sketchSnapshot) Gram() (*mat.Dense, bool) { return nil, false }
 
-// SnapshotCoord freezes Ĉ decayed to the tracker's clock — the same value
-// Sketch/SketchGram would observe — without touching the live chat: the
-// decay multiplier is applied to the clone. In parallel mode the facade
-// never advances t.now (lanes carry per-site clocks), so the guard leaves
-// the clone at chatT, the emission time of the last applied update; the
-// snapshot then lags the newest decay tick, which the facade's snapshot
-// contract documents.
-func (t *DecayTracker) SnapshotCoord() protocol.CoordSnapshot {
-	c := t.chat.Clone()
-	if t.now > t.chatT {
-		mat.ScaleInPlace(c, math.Pow(t.gamma, float64(t.now-t.chatT)))
-	}
-	return &gramSnapshot{chat: c}
+// SnapshotCoord freezes Ĉ decayed to at, the time the read stands at. The
+// decay multiplier γ^(at−chatT) is applied to the snapshot's copy, never
+// to the live Ĉ, so reads leave the γ^Δt chain of the applies whole. An
+// at before the last applied update leaves the copy at that update's time.
+func (t *DecayTracker) SnapshotCoord(at int64) protocol.CoordSnapshot {
+	return &gramSnapshot{chat: t.decayedChat(at)}
 }
 
 // SnapshotCoord materializes the current sample set into a frozen sketch.
 // Safe from the ingest goroutine only (the sampling family is sequential).
-func (s *Sampler) SnapshotCoord() protocol.CoordSnapshot {
+func (s *Sampler) SnapshotCoord(int64) protocol.CoordSnapshot {
 	return sketchSnapshot{b: s.Sketch()}
 }
 
 // SnapshotCoord materializes the current draws into a frozen sketch.
-func (t *WithReplacement) SnapshotCoord() protocol.CoordSnapshot {
+func (t *WithReplacement) SnapshotCoord(int64) protocol.CoordSnapshot {
 	return sketchSnapshot{b: t.Sketch()}
 }
 

@@ -32,10 +32,13 @@ type DecayTracker struct {
 	gamma float64
 	net   *protocol.Network
 	sites []*decaySite
+	// chat is Ĉ, decayed to chatT, the emission time of the last applied
+	// update. Only applies write it; reads decay a copy (decayedChat).
 	chat  *mat.Dense
-	// chatT is the timestamp Ĉ is currently decayed to.
 	chatT int64
-	now   int64
+	// now is the sequential clock (Observe/AdvanceTime), the time Sketch
+	// reads at.
+	now int64
 	// applyInline folds an emitted update into chat after decaying it to
 	// inlineT (the row being processed) — the sequential path's emit.
 	applyInline protocol.Emit
@@ -125,16 +128,6 @@ func (t *DecayTracker) Apply(u protocol.Update) {
 	mat.OuterAdd(t.chat, u.V, u.Scale)
 }
 
-// AdvanceCoord decays Ĉ to now. Callers must guarantee no later Apply
-// carries an emission time before now (the pipeline uses its minimum lane
-// progress, a safe lower bound).
-func (t *DecayTracker) AdvanceCoord(now int64) {
-	if now > t.now {
-		t.now = now
-	}
-	t.decayChatTo(now)
-}
-
 func (s *decaySite) decayTo(now int64, gamma float64) {
 	if now <= s.t {
 		return
@@ -156,17 +149,18 @@ func (t *DecayTracker) decayChatTo(now int64) {
 	t.chatT = now
 }
 
-// Sketch returns B with BᵀB ≈ C(now), decayed to the tracker's clock.
-func (t *DecayTracker) Sketch() *mat.Dense {
-	t.decayChatTo(t.now)
-	return mat.PSDSqrt(t.chat)
+// decayedChat returns a copy of Ĉ decayed from the last applied update's
+// time to at, leaving the live Ĉ as it is.
+func (t *DecayTracker) decayedChat(at int64) *mat.Dense {
+	c := t.chat.Clone()
+	if at > t.chatT {
+		mat.ScaleInPlace(c, math.Pow(t.gamma, float64(at-t.chatT)))
+	}
+	return c
 }
 
-// SketchGram returns a copy of the decayed Ĉ ≈ C(now).
-func (t *DecayTracker) SketchGram() *mat.Dense {
-	t.decayChatTo(t.now)
-	return t.chat.Clone()
-}
+// Sketch returns B with BᵀB ≈ C(now), decayed to the tracker's clock.
+func (t *DecayTracker) Sketch() *mat.Dense { return mat.PSDSqrt(t.decayedChat(t.now)) }
 
 // Stats returns accumulated counters.
 func (t *DecayTracker) Stats() protocol.Stats { return t.net.Stats() }

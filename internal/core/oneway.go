@@ -148,20 +148,13 @@ func newGramCoord(cfg Config, net *protocol.Network) *gramCoord {
 // (T, site) order.
 func (c *gramCoord) Apply(u protocol.Update) { mat.OuterAdd(c.chat, u.V, u.Scale) }
 
-// AdvanceCoord is a no-op: the coordinator state is clock-free.
-func (c *gramCoord) AdvanceCoord(now int64) {}
-
 // Sketch returns B = Σ^{1/2}Vᵀ from the eigendecomposition of the
 // PSD-clipped Ĉ (Algorithms 4 and 5, QUERY).
 func (c *gramCoord) Sketch() *mat.Dense { return mat.PSDSqrt(c.chat) }
 
-// SketchGram returns a copy of the raw Ĉ ≈ A_wᵀA_w. It is what Sketch
-// factors; evaluation harnesses use it to skip the O(d³) square root on
-// every query.
-func (c *gramCoord) SketchGram() *mat.Dense { return c.chat.Clone() }
-
-// SnapshotCoord freezes Ĉ. Safe from the apply-owning goroutine only.
-func (c *gramCoord) SnapshotCoord() protocol.CoordSnapshot { return FreezeGram(c.chat) }
+// SnapshotCoord freezes Ĉ; the clock-free coordinator ignores the read
+// time. Safe from the apply-owning goroutine only.
+func (c *gramCoord) SnapshotCoord(int64) protocol.CoordSnapshot { return FreezeGram(c.chat) }
 
 // Stats returns accumulated counters.
 func (c *gramCoord) Stats() protocol.Stats { return c.net.Stats() }

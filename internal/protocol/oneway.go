@@ -44,9 +44,8 @@ type Emit func(scale float64, v []float64)
 //     timestamps.
 //   - Apply folds one emitted update into the coordinator state. All
 //     Apply calls must come from a single goroutine, in non-decreasing
-//     (T, Site) order.
-//   - AdvanceCoord moves the coordinator's clock without data (only the
-//     decay tracker has one; the window protocols no-op).
+//     (T, Site) order. The coordinator state is a pure fold of the
+//     applied updates: reads never change it.
 //
 // Observe(site, r) must be equivalent to ObserveSite(site, r, apply-inline)
 // so the sequential path and a (T, site)-ordered parallel apply produce
@@ -56,5 +55,4 @@ type OneWay interface {
 	ObserveSite(site int, r stream.Row, emit Emit)
 	AdvanceSite(site int, now int64, emit Emit)
 	Apply(u Update)
-	AdvanceCoord(now int64)
 }

@@ -101,7 +101,7 @@ type lane struct {
 
 	// progress is the lane's emission floor (see LaneHandler). Written by
 	// the worker after each block, read for virtual merge keys and
-	// MinProgress. Starts at minInt64: an unstarted lane blocks everything.
+	// MaxProgress. Starts at minInt64: an unstarted lane blocks everything.
 	progress atomic.Int64
 
 	// enq counts blocks pushed to the ring, done blocks fully processed;
@@ -209,7 +209,7 @@ func (w *workerState) idle() bool {
 // over k = workers out-rings.
 //
 // Concurrency contract: at most one goroutine may enqueue per site (the
-// rings are single-producer), and Advance/Drain/MinProgress/Close must not
+// rings are single-producer), and Advance/Drain/MaxProgress/Close must not
 // run concurrently with any enqueue.
 type Pipeline struct {
 	lanes     []*lane
@@ -582,17 +582,16 @@ func (p *Pipeline) markAllDirty() {
 	}
 }
 
-// MinProgress returns the smallest lane progress — a safe lower bound on
-// the emission time of anything the pipeline could still produce. A lane
-// that never processed an item reports minInt64.
-func (p *Pipeline) MinProgress() int64 {
-	min := int64(maxInt64)
+// MaxProgress returns the largest lane progress. After a drain, with the
+// lanes idle, that is the latest timestamp any lane delivered: the clock a
+// sequential run of the same rows stands at. minInt64 while no lane has
+// processed an item.
+func (p *Pipeline) MaxProgress() int64 {
+	m := int64(minInt64)
 	for _, ln := range p.lanes {
-		if v := ln.progress.Load(); v < min {
-			min = v
-		}
+		m = max(m, ln.progress.Load())
 	}
-	return min
+	return m
 }
 
 // Close stops the workers and coordinator. It does not drain: call Drain

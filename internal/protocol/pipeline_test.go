@@ -383,8 +383,8 @@ func TestPipelineDrainReusable(t *testing.T) {
 			t.Fatalf("apply %d out of order after drains: (%d,%d) then (%d,%d)", i, a.T, a.Site, b.T, b.Site)
 		}
 	}
-	if mp := p.MinProgress(); mp != 419 {
-		t.Fatalf("MinProgress = %d, want 419", mp)
+	if mp := p.MaxProgress(); mp != 419 {
+		t.Fatalf("MaxProgress = %d, want 419", mp)
 	}
 }
 
@@ -404,8 +404,8 @@ func TestPipelineAdvanceTokens(t *testing.T) {
 			t.Fatalf("site %d advance = %d, want 42", s, adv[s])
 		}
 	}
-	if mp := p.MinProgress(); mp != 42 {
-		t.Fatalf("MinProgress = %d, want 42", mp)
+	if mp := p.MaxProgress(); mp != 42 {
+		t.Fatalf("MaxProgress = %d, want 42", mp)
 	}
 }
 

@@ -26,12 +26,14 @@ type CoordSnapshot interface {
 }
 
 // Snapshotter freezes a tracker's coordinator state into a CoordSnapshot;
-// every Tracker implements it. SnapshotCoord must be called only from the
-// goroutine that owns coordinator applies (the sequential ingest goroutine,
-// or the pipeline's coordinator goroutine via PipelineConfig.PostApply), or
-// while that goroutine is held off by a lock it also takes; it copies the
-// small coordinator state (O(d²) for the Gram family) and never mutates
-// the tracker.
+// every Tracker implements it. at is the stream time the read stands at:
+// Decay decays its copy of Ĉ from the last applied update's time to at,
+// and the clock-free trackers ignore it. SnapshotCoord must be called only
+// from the goroutine that owns coordinator applies (the sequential ingest
+// goroutine, or the pipeline's coordinator goroutine via
+// PipelineConfig.PostApply), or while that goroutine is held off by a lock
+// it also takes; it copies the small coordinator state (O(d²) for the Gram
+// family) and never mutates the tracker.
 type Snapshotter interface {
-	SnapshotCoord() CoordSnapshot
+	SnapshotCoord(at int64) CoordSnapshot
 }

@@ -220,7 +220,6 @@ func TestDialBackoffLimitsAttempts(t *testing.T) {
 	})
 	s.BackoffBase = 20 * time.Millisecond
 	s.BackoffMax = 100 * time.Millisecond
-	s.SetJitterSeed(1)
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := s.Send(Msg{Kind: SumDelta, Delta: 1}); err != nil {
@@ -250,7 +249,6 @@ func TestBackoffResetsAfterSuccess(t *testing.T) {
 	defer s.Close()
 	s.BackoffBase = time.Millisecond
 	s.BackoffMax = 4 * time.Millisecond
-	s.SetJitterSeed(1)
 	s.Send(Msg{Kind: SumDelta, Delta: 1})
 	fail = false
 	if p := drainSender(s, 2*time.Second); p != 0 {

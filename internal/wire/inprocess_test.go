@@ -18,11 +18,7 @@ import (
 func inProcessSoak(t *testing.T, proto string) ([]float64, *mat.Dense, float64) {
 	t.Helper()
 	cfg := core.Config{D: soakD, W: soakW, Eps: soakEps, Sites: soakSites}
-	var tr interface {
-		protocol.OneWay
-		protocol.Snapshotter
-		SketchGram() *mat.Dense
-	}
+	var tr protocol.OneWay
 	var err error
 	switch proto {
 	case "da1":
@@ -53,7 +49,9 @@ func inProcessSoak(t *testing.T, proto string) ([]float64, *mat.Dense, float64) 
 		tr.AdvanceSite(i, soakRows, apply)
 	}
 	sum.AdvanceAll(soakRows)
-	return tr.SketchGram().Data(), tr.SnapshotCoord().Sketch(), sum.Estimate()
+	snap := tr.SnapshotCoord(soakRows)
+	chat, _ := snap.Gram()
+	return chat.Data(), snap.Sketch(), sum.Estimate()
 }
 
 // TestChaosNetworkedMatchesInProcess is the differential test tying the

@@ -26,7 +26,6 @@ var ErrOptionUnsupported = errors.New("wire: option not supported by this transp
 type SenderOption func(*senderOptions) error
 
 type senderOptions struct {
-	stream    string
 	res       *ResilienceConfig
 	resilient bool // the transport being built can honor WithResilience
 }
@@ -37,17 +36,6 @@ type senderOptions struct {
 // Deprecated: drop the option; binary v2 is the only framing.
 func WithCodec(codec.Codec) SenderOption {
 	return func(*senderOptions) error { return nil }
-}
-
-// WithStream sets the sender's default stream id: messages sent with an
-// empty StreamID are stamped with it. Messages already stamped (e.g. via
-// the Stream view) pass through unchanged, so a sender with a default
-// stream can still multiplex others.
-func WithStream(id string) SenderOption {
-	return func(o *senderOptions) error {
-		o.stream = id
-		return nil
-	}
 }
 
 // ResilienceConfig tunes the resilient delivery machinery; the zero
@@ -101,17 +89,16 @@ func applySenderOptions(resilient bool, opts []SenderOption) (senderOptions, err
 // immediately. Delivery is as reliable as the connection — for
 // reconnect-and-replay semantics use Dial or DialFunc instead.
 func NewSender(conn io.WriteCloser, opts ...SenderOption) (*ConnSender, error) {
-	o, err := applySenderOptions(false, opts)
-	if err != nil {
+	if _, err := applySenderOptions(false, opts); err != nil {
 		return nil, err
 	}
-	return &ConnSender{enc: codec.BinaryV2.NewEncoder(conn), conn: conn, stream: o.stream}, nil
+	return &ConnSender{enc: codec.BinaryV2.NewEncoder(conn), conn: conn}, nil
 }
 
 // Dial returns a resilient sender that (re)dials addr over TCP,
 // delivering exactly-once via the seq/ack/replay machinery, with backoff
-// defaults of 50ms base and 5s cap and a time-seeded dial jitter. Options:
-// WithStream, WithResilience.
+// defaults of 50ms base and 5s cap and a time-seeded dial jitter. Option:
+// WithResilience.
 func Dial(addr string, opts ...SenderOption) (*ResilientSender, error) {
 	o, err := applySenderOptions(true, opts)
 	if err != nil {
@@ -156,7 +143,6 @@ func DialFunc(dial func() (io.ReadWriteCloser, error), opts ...SenderOption) (*R
 }
 
 func configureResilient(s *ResilientSender, o senderOptions) {
-	s.stream = o.stream
 	s.seqs = make(map[string]uint64)
 	s.maxSent = make(map[string]uint64)
 	if rc := o.res; rc != nil {

@@ -19,46 +19,16 @@ func TestWithResilienceUnsupportedOnNewSender(t *testing.T) {
 	}
 }
 
-// TestWithStreamStampsBeforeSequencing pins the ordering subtlety: the
-// default-stream stamp must land before the sequence stamp, because each
-// stream owns its own sequence space.
-func TestWithStreamStampsBeforeSequencing(t *testing.T) {
-	s, err := DialFunc(func() (io.ReadWriteCloser, error) {
-		return nil, errors.New("down")
-	}, WithStream("alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Send(Msg{Kind: SumDelta, Delta: 1})
-	s.Send(Msg{Kind: SumDelta, Delta: 2})
-	s.Send(Msg{Kind: SumDelta, Delta: 3, StreamID: "beta"})
-	st := s.State()
-	if len(st.Backlog) != 3 {
-		t.Fatalf("backlog %d, want 3", len(st.Backlog))
-	}
-	want := []struct {
-		stream string
-		seq    uint64
-	}{{"alpha", 1}, {"alpha", 2}, {"beta", 1}}
-	for i, w := range want {
-		m := st.Backlog[i]
-		if m.StreamID != w.stream || m.Seq != w.seq {
-			t.Fatalf("backlog[%d] = stream %q seq %d, want %q %d — default stream must be stamped before sequencing",
-				i, m.StreamID, m.Seq, w.stream, w.seq)
-		}
-	}
-}
-
-// TestNewSenderWithCodecAndStream: a NewSender writes binary v2 stamped
-// with its default stream; the deprecated WithCodec is accepted and
+// TestNewSenderWithCodecAndStream: a NewSender's stream view writes binary
+// v2 stamped with its stream id; the deprecated WithCodec is accepted and
 // changes nothing.
 func TestNewSenderWithCodecAndStream(t *testing.T) {
 	var sink bytes.Buffer
-	s, err := NewSender(nopCloser{&sink}, WithCodec(codec.BinaryV2), WithStream("prices"))
+	s, err := NewSender(nopCloser{&sink}, WithCodec(codec.BinaryV2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Send(Msg{Site: 4, Kind: SumDelta, Delta: 2.5}); err != nil {
+	if err := s.Stream("prices").Send(Msg{Site: 4, Kind: SumDelta, Delta: 2.5}); err != nil {
 		t.Fatal(err)
 	}
 	dec, cdc, err := codec.Detect(&sink)

@@ -63,10 +63,6 @@ type ResilientSender struct {
 	// of returning a *PendingError.
 	DiscardPending bool
 
-	// stream is the default stream id stamped onto messages sent without
-	// one (WithStream). Set at construction, read-only after.
-	stream string
-
 	mu      sync.Mutex
 	conn    io.ReadWriteCloser
 	enc     codec.Encoder
@@ -100,14 +96,6 @@ const DefaultMaxInflight = 64
 // streams can multiplex over this one sender and connection.
 func (s *ResilientSender) Stream(id string) Sender { return StreamOf(s, id) }
 
-// SetJitterSeed reseeds the dial-jitter RNG, making backoff timing
-// reproducible. Call before Send.
-func (s *ResilientSender) SetJitterSeed(seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(seed))
-}
-
 // Send stamps the message with its stream's next sequence number and
 // queues it until acknowledged, transparently reconnecting and replaying
 // the backlog first. On transport failure the message stays buffered and
@@ -119,11 +107,6 @@ func (s *ResilientSender) Send(m Msg) error {
 	defer s.mu.Unlock()
 	if s.MaxBacklog > 0 && len(s.backlog) >= s.MaxBacklog {
 		return fmt.Errorf("wire: backlog full (%d messages)", s.MaxBacklog)
-	}
-	if m.StreamID == "" {
-		// The default stream stamp must land before the sequence stamp:
-		// each stream has its own sequence space.
-		m.StreamID = s.stream
 	}
 	s.seqs[m.StreamID]++
 	m.Seq = s.seqs[m.StreamID]

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -31,6 +32,34 @@ func TestStreamOf(t *testing.T) {
 	}
 	if len(cap.msgs) != 1 || cap.msgs[0].StreamID != "a" {
 		t.Fatalf("sent %+v, want StreamID a", cap.msgs)
+	}
+}
+
+// TestStreamsSequenceIndependently pins that a resilient sender numbers
+// each stream in a sequence space of its own: the coordinator dedups and
+// detects gaps per (site, stream), so a counter shared across streams
+// would leave gaps in each.
+func TestStreamsSequenceIndependently(t *testing.T) {
+	s := mustDialFunc(t, func() (io.ReadWriteCloser, error) {
+		return nil, errors.New("down")
+	})
+	alpha := s.Stream("alpha")
+	alpha.Send(Msg{Kind: SumDelta, Delta: 1})
+	alpha.Send(Msg{Kind: SumDelta, Delta: 2})
+	s.Send(Msg{Kind: SumDelta, Delta: 3, StreamID: "beta"})
+	s.Send(Msg{Kind: SumDelta, Delta: 4})
+	st := s.State()
+	want := []struct {
+		stream string
+		seq    uint64
+	}{{"alpha", 1}, {"alpha", 2}, {"beta", 1}, {"", 1}}
+	if len(st.Backlog) != len(want) {
+		t.Fatalf("backlog %d, want %d", len(st.Backlog), len(want))
+	}
+	for i, w := range want {
+		if m := st.Backlog[i]; m.StreamID != w.stream || m.Seq != w.seq {
+			t.Fatalf("backlog[%d] = stream %q seq %d, want %q %d", i, m.StreamID, m.Seq, w.stream, w.seq)
+		}
 	}
 }
 

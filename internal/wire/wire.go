@@ -707,10 +707,9 @@ type Sender interface {
 // ConnSender encodes messages onto a single stream in the binary v2
 // framing. Each Send is flushed through immediately.
 type ConnSender struct {
-	mu     sync.Mutex
-	enc    codec.Encoder
-	conn   io.WriteCloser
-	stream string
+	mu   sync.Mutex
+	enc  codec.Encoder
+	conn io.WriteCloser
 
 	msgs   obs.Counter
 	encLat obs.Histogram
@@ -720,9 +719,6 @@ type ConnSender struct {
 func (s *ConnSender) Send(m Msg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m.StreamID == "" {
-		m.StreamID = s.stream
-	}
 	start := time.Now()
 	err := s.enc.EncodeMsg(&m)
 	if err == nil {

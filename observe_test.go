@@ -205,8 +205,8 @@ func (r *recordingTracker) Stats() protocol.Stats { return protocol.Stats{} }
 func (r *recordingTracker) Name() string          { return "recorder" }
 
 // The recorder is its own (empty) coordinator snapshot.
-func (r *recordingTracker) SnapshotCoord() protocol.CoordSnapshot { return r }
-func (r *recordingTracker) Gram() (*mat.Dense, bool)              { return nil, false }
+func (r *recordingTracker) SnapshotCoord(int64) protocol.CoordSnapshot { return r }
+func (r *recordingTracker) Gram() (*mat.Dense, bool)                   { return nil, false }
 
 func TestFlushSkewGlobalOrder(t *testing.T) {
 	tr, err := New(Config{Protocol: DA1, D: 1, W: 1000, Eps: 0.2, Sites: 3, MaxSkew: 100})

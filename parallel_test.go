@@ -2,13 +2,16 @@ package distwindow_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
 	"distwindow"
+	"distwindow/mat"
 )
 
 // rowVal derives a deterministic row value from (site, seq, col) so the
@@ -355,6 +358,185 @@ func TestParallelDeterminismSkewBatched(t *testing.T) {
 			t.Errorf("batch=%d: batched skew-replay Gram differs from sequential", batch)
 		}
 		par.Close()
+	}
+}
+
+// siteRow is one row of a test feed and the site it goes to.
+type siteRow struct {
+	site int
+	row  distwindow.Row
+}
+
+// raggedFeeds returns feeds whose sites do not all deliver at every
+// timestamp, each in the order the parallel merge applies it: global
+// (T, site), each site's rows in feed order.
+//
+//   - ragged-ends: site s stops 7·s rows early, so the sites' last rows
+//     carry different timestamps.
+//   - idle-site: site 2 is silent for longer than a window mid-stream.
+//   - edge-burst: site 3 sends a burst of heavy rows that leaves the
+//     window exactly at tadv, the time the final Advance moves to.
+func raggedFeeds(d, sites, rowsPerSite int, w, tadv int64) map[string][]siteRow {
+	var ends, idle, burst []siteRow
+	for s := 0; s < sites; s++ {
+		for seq := 0; seq < rowsPerSite; seq++ {
+			r := makeRow(d, s, seq)
+			if seq < rowsPerSite-7*s {
+				ends = append(ends, siteRow{s, r})
+			}
+			if s != 2 || r.T < 96 || r.T >= 96+w+8 {
+				idle = append(idle, siteRow{s, r})
+			}
+			burst = append(burst, siteRow{s, r})
+			if s == 3 && r.T == tadv-w && seq%2 == 1 {
+				for k := 0; k < 24; k++ {
+					b := makeRow(d, s, rowsPerSite+k)
+					b.T = r.T
+					for j := range b.V {
+						b.V[j] *= 8
+					}
+					burst = append(burst, siteRow{s, b})
+				}
+			}
+		}
+	}
+	feeds := map[string][]siteRow{"ragged-ends": ends, "idle-site": idle, "edge-burst": burst}
+	for _, f := range feeds {
+		sort.SliceStable(f, func(i, j int) bool {
+			a, b := f[i], f[j]
+			return a.row.T < b.row.T || a.row.T == b.row.T && a.site < b.site
+		})
+	}
+	return feeds
+}
+
+// feedSites hands each site its rows of feed from a goroutine of its own,
+// one feeder per site as a parallel tracker allows.
+func feedSites(t *testing.T, tr *distwindow.Tracker, sites int, feed []siteRow) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for s := 0; s < sites; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for _, e := range feed {
+				if e.site != s {
+					continue
+				}
+				if err := tr.TryObserve(s, e.row); err != nil {
+					t.Errorf("site %d t=%d: %v", s, e.row.T, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+}
+
+// bitDiffs counts the entries of a and b whose bits differ.
+func bitDiffs(a, b *mat.Dense) int {
+	n := 0
+	for i := 0; i < a.Rows(); i++ {
+		for j, v := range a.Row(i) {
+			if math.Float64bits(v) != math.Float64bits(b.At(i, j)) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sameAnswers checks that got answers exactly as want: Gram and sketch
+// bit for bit, the words sent up, and the time the published snapshot
+// stands at.
+func sameAnswers(t *testing.T, stage string, want, got *distwindow.Tracker) {
+	t.Helper()
+	gw, _ := want.SketchGram()
+	gg, _ := got.SketchGram()
+	if n := bitDiffs(gw, gg); n != 0 {
+		t.Errorf("after %s: %d of %d Gram entries differ", stage, n, gw.Rows()*gw.Cols())
+	}
+	if n := bitDiffs(want.Sketch(), got.Sketch()); n != 0 {
+		t.Errorf("after %s: %d Sketch entries differ", stage, n)
+	}
+	if w, g := want.Stats().WordsUp, got.Stats().WordsUp; w != g {
+		t.Errorf("after %s: words up %d, want %d", stage, g, w)
+	}
+	sw, _ := want.Snapshot()
+	sg, _ := got.Snapshot()
+	if w, g := sw.DeliveredAt(), sg.DeliveredAt(); w != g {
+		t.Errorf("after %s: snapshot delivered at %d, want %d", stage, g, w)
+	}
+}
+
+// TestParallelDeterminismRagged runs the one-way protocols on feeds whose
+// sites do not all deliver at every timestamp, where the uniform feeds of
+// the suites above cannot tell "the latest time any site delivered" from
+// "the time every site reached". The sequential tracker is the reference;
+// parallel trackers at 1, 2 and 4 workers and a Registry stream must
+// answer exactly as it does after Drain, and again after Advance: Gram
+// and sketch bit for bit, words sent up, and the snapshot's time. No
+// MaxSkew: skew drops differ between the modes by design.
+func TestParallelDeterminismRagged(t *testing.T) {
+	const (
+		d           = 6
+		sites       = 5
+		rowsPerSite = 600 // T reaches 299
+		w           = 64
+		tadv        = 339
+	)
+	feeds := raggedFeeds(d, sites, rowsPerSite, w, tadv)
+	for _, proto := range []distwindow.Protocol{distwindow.DA1, distwindow.DA2, distwindow.DA2C, distwindow.Decay} {
+		for _, name := range []string{"ragged-ends", "idle-site", "edge-burst"} {
+			t.Run(string(proto)+"/"+name, func(t *testing.T) {
+				feed := feeds[name]
+				cfg := distwindow.Config{
+					Protocol: proto, D: d, W: w, Eps: 0.2, Sites: sites, Seed: 7, DecayGamma: 0.99,
+				}
+				feedInOrder := func(tr *distwindow.Tracker) {
+					for _, e := range feed {
+						if err := tr.TryObserve(e.site, e.row); err != nil {
+							t.Fatalf("site %d t=%d: %v", e.site, e.row.T, err)
+						}
+					}
+				}
+				ref, err := distwindow.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedInOrder(ref)
+
+				modes := map[string]*distwindow.Tracker{}
+				for _, workers := range []int{1, 2, 4} {
+					par, err := distwindow.New(cfg, distwindow.WithParallel(workers), distwindow.WithRingSize(32))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer par.Close()
+					feedSites(t, par, sites, feed)
+					modes[fmt.Sprintf("workers=%d", workers)] = par
+				}
+				reg := distwindow.NewRegistry()
+				defer reg.Close()
+				rs, _, err := reg.Open("ragged", cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedInOrder(rs)
+				modes["registry"] = rs
+
+				ref.Drain()
+				for mode, tr := range modes {
+					tr.Drain()
+					sameAnswers(t, mode+" Drain", ref, tr)
+				}
+				ref.Advance(tadv)
+				for mode, tr := range modes {
+					tr.Advance(tadv)
+					sameAnswers(t, mode+" Advance", ref, tr)
+				}
+			})
+		}
 	}
 }
 

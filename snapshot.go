@@ -1,7 +1,6 @@
 package distwindow
 
 import (
-	"math"
 	"sync"
 
 	"distwindow/internal/obs"
@@ -59,10 +58,13 @@ type Snapshot struct {
 // per publication.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// DeliveredAt is the stream timestamp watermark the snapshot reflects: the
-// highest timestamp delivered to the protocol (sequential mode) or applied
-// at the coordinator (parallel mode) when the snapshot was taken.
-// math.MinInt64 until anything was delivered.
+// DeliveredAt is the stream time the snapshot stands at, and the time
+// Decay's Gram is decayed to: the highest timestamp delivered to the
+// protocol when the snapshot was taken. A parallel tracker's drained
+// snapshot (Drain, exact reads, Close) stands at the same watermark as a
+// sequential tracker fed the same rows; a snapshot its coordinator publishes
+// mid-stream stands at the last applied update's time. math.MinInt64 until
+// anything was delivered.
 func (s *Snapshot) DeliveredAt() int64 { return s.deliveredAt }
 
 // Rows is the tracker's delivered-row count when the snapshot was taken.
@@ -136,17 +138,18 @@ func (s *Snapshot) pcaLocked(k int) PCA {
 	return p
 }
 
-// publishAt freezes the coordinator state into a new snapshot version and
-// swaps it in. It must run on the goroutine that owns coordinator applies,
-// or with that goroutine provably idle: during construction, or under the
-// exclusive gate (after a drain barrier, on a parallel tracker).
+// publishAt freezes the coordinator state, read at stream time at, into a
+// new snapshot version and swaps it in. It must run on the goroutine that
+// owns coordinator applies, or with that goroutine provably idle: during
+// construction, or under the exclusive gate (after a drain barrier, on a
+// parallel tracker).
 func (t *Tracker) publishAt(at int64) {
 	s := &Snapshot{
 		version:     t.snapVer.Add(1),
 		deliveredAt: at,
 		rows:        t.rows.Load(),
 		proto:       t.inner.Name(),
-		coord:       t.inner.SnapshotCoord(),
+		coord:       t.inner.SnapshotCoord(at),
 	}
 	t.snap.Store(s)
 	if t.sink != nil {
@@ -161,12 +164,13 @@ func (t *Tracker) publishAt(at int64) {
 //
 // A sequential tracker publishes only when rows or the delivered
 // watermark moved since the current version: those are the only ways its
-// coordinator state changes. A parallel tracker drains the pipeline — after
-// the barrier its coordinator goroutine can only run empty passes, which
-// touch no state — then lets the coordinator clock catch up to the sites'
-// emission floor (a no-op for the clock-free protocols), refreshes the
-// bucket gauge and publishes the fully-applied state. A closed tracker's
-// state cannot move, so its final snapshot is returned as is.
+// snapshot changes. A parallel tracker drains the pipeline — after the
+// barrier its coordinator goroutine can only run empty passes, which touch
+// no state — refreshes the bucket gauge and publishes the fully-applied
+// state at the latest time any lane delivered, the clock a sequential run
+// of the same rows stands at. Neither touches the coordinator: the time is
+// an argument of the read. A closed tracker's state cannot move, so its
+// final snapshot is returned as is.
 func (t *Tracker) catchUp(flush bool) *Snapshot {
 	if t.closed.Load() {
 		return t.snap.Load()
@@ -178,15 +182,10 @@ func (t *Tracker) catchUp(flush bool) *Snapshot {
 		return t.snap.Load()
 	}
 	t.pipe.Drain(flush)
-	at := t.lastAppliedT
-	if mp := t.pipe.MinProgress(); mp != math.MinInt64 {
-		t.ow.AdvanceCoord(mp)
-		at = max(at, mp)
-	}
 	if t.buckets != nil {
 		t.liveBuckets.Set(int64(t.buckets.LiveBuckets()))
 	}
-	t.publishAt(at)
+	t.publishAt(max(t.lastAppliedT, t.pipe.MaxProgress()))
 	return t.snap.Load()
 }
 

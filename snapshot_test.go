@@ -47,10 +47,10 @@ func snapHash(s *Snapshot) uint64 {
 }
 
 // refHash reads a live tracker's would-be snapshot through the same
-// non-mutating seam publication uses (safe even for Decay, whose Sketch/
-// SketchGram queries decay state in place).
+// non-mutating seam publication uses, at the delivered watermark a
+// sequential tracker publishes at.
 func refHash(tr *Tracker) uint64 {
-	return coordHash(tr.inner.(protocol.Snapshotter).SnapshotCoord())
+	return coordHash(tr.inner.SnapshotCoord(tr.delivered))
 }
 
 type snapObs struct {
@@ -180,16 +180,16 @@ func TestSnapshotParallelPrefixConsistency(t *testing.T) {
 	}
 	ow := ref.inner.(protocol.OneWay)
 	snapper := ref.inner.(protocol.Snapshotter)
-	valid := map[uint64]bool{coordHash(snapper.SnapshotCoord()): true}
+	valid := map[uint64]bool{coordHash(snapper.SnapshotCoord(0)): true}
 	var finalGram *mat.Dense
 	for i, r := range rows {
 		site := i % sites
 		ow.ObserveSite(site, stream.Row{T: r.T, V: r.V}, func(scale float64, v []float64) {
 			ow.Apply(protocol.Update{T: r.T, Site: site, Scale: scale, V: v})
-			valid[coordHash(snapper.SnapshotCoord())] = true
+			valid[coordHash(snapper.SnapshotCoord(r.T))] = true
 		})
 	}
-	finalGram, _ = snapper.SnapshotCoord().Gram()
+	finalGram, _ = snapper.SnapshotCoord(0).Gram()
 
 	workerCounts := []int{1, 2, runtime.NumCPU()}
 	for _, workers := range workerCounts {
@@ -348,9 +348,10 @@ func readConfig(p Protocol, d, sites int) Config {
 
 // TestQueryIndependence pins that queries are read-only. Twin A answers
 // Sketch and SketchGram every 37 rows, with no Drain; twin B is never
-// queried. Each of A's answers must equal B's live state at the same row,
-// read through the non-mutating SnapshotCoord seam, and after the stream
-// both twins must answer bit-identically.
+// queried; twin C is audited every 7 rows, so its auditor reads the
+// coordinator on the ingest goroutine. Each of A's answers must equal B's
+// live state at the same row, read through the non-mutating SnapshotCoord
+// seam, and after the stream all three twins must answer bit-identically.
 func TestQueryIndependence(t *testing.T) {
 	const n, d, sites, every = 600, 6, 3, 37
 	for _, p := range readProtocols() {
@@ -364,13 +365,24 @@ func TestQueryIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The auditor's exact shadow needs a window length, which
+			// Decay's tracker ignores.
+			ccfg := cfg
+			if ccfg.W == 0 {
+				ccfg.W = 200
+			}
+			c, err := New(ccfg, WithAudit(AuditConfig{EveryRows: 7}))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, r := range testRows(n, d, 13) {
 				observe(t, a, i%sites, r)
 				observe(t, b, i%sites, r)
+				observe(t, c, i%sites, r)
 				if (i+1)%every != 0 {
 					continue
 				}
-				live := b.inner.SnapshotCoord()
+				live := b.inner.SnapshotCoord(b.delivered)
 				if denseHash(a.Sketch()) != denseHash(live.Sketch()) {
 					t.Fatalf("row %d: queried twin's Sketch differs from the unqueried twin's state", i+1)
 				}
@@ -380,16 +392,27 @@ func TestQueryIndependence(t *testing.T) {
 					t.Fatalf("row %d: queried twin's SketchGram differs from the unqueried twin's state", i+1)
 				}
 			}
-			if refHash(a) != refHash(b) {
-				t.Fatal("queries changed the queried twin's coordinator state")
+			if m, ok := c.Audit(); !ok || m.Ticks == 0 {
+				t.Fatalf("audited twin took no measurements: %+v", m)
 			}
-			if denseHash(a.Sketch()) != denseHash(b.Sketch()) {
-				t.Fatal("final Sketch differs between the twins")
-			}
-			ga, _ := a.SketchGram()
-			gb, ok := b.SketchGram()
-			if ok && denseHash(ga) != denseHash(gb) {
-				t.Fatal("final SketchGram differs between the twins")
+			for _, tw := range []struct {
+				name string
+				tr   *Tracker
+			}{{"queried", a}, {"audited", c}} {
+				if refHash(tw.tr) != refHash(b) {
+					t.Fatalf("%s twin's coordinator state differs from the unqueried twin's", tw.name)
+				}
+				if denseHash(tw.tr.Sketch()) != denseHash(b.Sketch()) {
+					t.Fatalf("final Sketch differs between the %s and the unqueried twin", tw.name)
+				}
+				g, _ := tw.tr.SketchGram()
+				gb, ok := b.SketchGram()
+				if ok && denseHash(g) != denseHash(gb) {
+					t.Fatalf("final SketchGram differs between the %s and the unqueried twin", tw.name)
+				}
+				if w, wb := tw.tr.Stats().WordsUp, b.Stats().WordsUp; w != wb {
+					t.Fatalf("%s twin sent %d words up, the unqueried twin %d", tw.name, w, wb)
+				}
 			}
 		})
 	}

@@ -6,6 +6,8 @@ import (
 
 	"distwindow/internal/audit"
 	"distwindow/internal/obs"
+	"distwindow/internal/protocol"
+	"distwindow/mat"
 )
 
 // TraceConfig configures causal tracing on a Tracker.
@@ -71,8 +73,9 @@ type AuditMetrics = audit.Metrics
 type AuditSample = audit.Sample
 
 // startAudit builds the auditor WithAudit asks for. It reads the
-// coordinator through the protocol's own Sketch/SketchGram, on the ingest
-// goroutine, at the audit cadence.
+// coordinator through the same non-mutating seam publication uses, at the
+// delivered watermark, on the ingest goroutine, at the audit cadence; so
+// an audited tracker answers exactly as an unaudited one.
 func (t *Tracker) startAudit(cfg AuditConfig) error {
 	acfg := audit.Config{
 		D:           t.cfg.D,
@@ -82,10 +85,11 @@ func (t *Tracker) startAudit(cfg AuditConfig) error {
 		KeepSamples: cfg.KeepSamples,
 		Words:       func() int64 { return t.net.Stats().TotalWords() },
 	}
-	if g, ok := t.inner.(GramSketcher); ok {
-		acfg.Gram = g.SketchGram
+	read := func() protocol.CoordSnapshot { return t.inner.SnapshotCoord(t.delivered) }
+	if _, ok := t.snap.Load().coord.Gram(); ok {
+		acfg.Gram = func() *mat.Dense { g, _ := read().Gram(); return g }
 	} else {
-		acfg.Sketch = t.inner.Sketch
+		acfg.Sketch = func() *mat.Dense { return read().Sketch() }
 	}
 	a, err := audit.New(acfg)
 	if err != nil {
